@@ -62,6 +62,7 @@
 #include "script/triggers.h"
 #include "telemetry/bundle.h"
 #include "telemetry/registry.h"
+#include "telemetry/sink.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 #include "telemetry/watchdog.h"
@@ -110,10 +111,7 @@ constexpr char kLoot[] = R"(
 // serialized world and returns elapsed seconds for the scripted ticks.
 static double RunPack(size_t threads, size_t wolves, size_t ticks,
                       const content::PrefabLibrary& prefabs, bool strict,
-                      telemetry::Tracer* tracer,
-                      telemetry::MetricsRegistry* registry,
-                      telemetry::FlightRecorder* recorder,
-                      telemetry::Watchdog* watchdog,
+                      const telemetry::TelemetrySink& sink,
                       std::string* snapshot) {
   World world;
   std::vector<EntityId> pack;
@@ -131,8 +129,7 @@ static double RunPack(size_t threads, size_t wolves, size_t ticks,
   script::ScriptHostOptions opts;
   opts.num_threads = threads;
   opts.interpreter.restriction = script::Restriction::kNoRecursion;
-  opts.telemetry.tracer = tracer;
-  opts.telemetry.metrics = registry;
+  opts.telemetry = sink;
   if (strict) opts.strictness = script::Strictness::kStrict;
   script::ScriptHost host(&world, opts);
   host.OnChannel("bite", [&world](EntityId e, double total) {
@@ -166,12 +163,9 @@ static double RunPack(size_t threads, size_t wolves, size_t ticks,
     }
     // Continuous observability at the sequential point, exactly as
     // loadgen's Driver does it.
-    if (recorder != nullptr) recorder->Sample(t + 1);
-    if (watchdog != nullptr) {
-      for (const std::string& rule : watchdog->Evaluate(t + 1)) {
-        std::printf("  watchdog TRIPPED at tick %zu: %s\n", t + 1,
-                    rule.c_str());
-      }
+    for (const std::string& rule : sink.TickHeartbeat(t + 1)) {
+      std::printf("  watchdog TRIPPED at tick %zu: %s\n", t + 1,
+                  rule.c_str());
     }
   }
   double secs = std::chrono::duration<double>(
@@ -199,12 +193,11 @@ static int RunParallelMode(size_t threads, size_t wolves, size_t ticks,
   telemetry::MetricsRegistry registry;
   telemetry::FlightRecorder recorder(&registry);
   telemetry::Watchdog watchdog(&recorder);
-  telemetry::MetricsRegistry* registry_ptr = nullptr;
-  telemetry::FlightRecorder* recorder_ptr = nullptr;
-  telemetry::Watchdog* watchdog_ptr = nullptr;
+  telemetry::TelemetrySink sink;
+  sink.tracer = tracer;
   if (!flightrec_path.empty()) {
     registry.SetEnabled(true);
-    registry_ptr = &registry;
+    sink.metrics = &registry;
     // Any script error across the retained window trips (counter-delta
     // series sum): the pack sim treats errors as fatal anyway, so a trip
     // here means the recorder caught it the same tick.
@@ -220,18 +213,17 @@ static int RunParallelMode(size_t threads, size_t wolves, size_t ticks,
   }
   std::printf("parallel pack sim (set-at-a-time GSL on the script host):\n");
   std::string snap_seq;
-  double secs_seq = RunPack(1, wolves, ticks, *prefabs, strict, tracer,
-                            registry_ptr, nullptr, nullptr, &snap_seq);
+  double secs_seq = RunPack(1, wolves, ticks, *prefabs, strict, sink,
+                            &snap_seq);
   if (!flightrec_path.empty()) {
     // Only the N-thread run is recorded: enabling here primes counter
     // baselines so the 1-thread warm-up doesn't pollute the deltas.
     recorder.SetEnabled(true);
-    recorder_ptr = &recorder;
-    watchdog_ptr = &watchdog;
+    sink.recorder = &recorder;
+    sink.watchdog = &watchdog;
   }
   std::string snap_par;
-  double secs_par = RunPack(threads, wolves, ticks, *prefabs, strict, tracer,
-                            registry_ptr, recorder_ptr, watchdog_ptr,
+  double secs_par = RunPack(threads, wolves, ticks, *prefabs, strict, sink,
                             &snap_par);
   bool identical = snap_seq == snap_par;
   std::printf("  speedup at %zu threads: %.2fx — world state %s\n", threads,

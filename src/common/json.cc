@@ -1,6 +1,8 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace gamedb::json {
@@ -21,8 +23,6 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
   Status Fail(const std::string& what) const {
     return Status::ParseError("json: " + what + " at offset " +
                               std::to_string(pos_));
@@ -43,11 +43,14 @@ class Parser {
     return false;
   }
 
+  /// `depth` counts the containers enclosing this value.
   Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Fail("nesting too deep");
     SkipWs();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      return Fail("nesting too deep");
+    }
     switch (c) {
       case '{':
         return ParseObject(out, depth);
@@ -227,6 +230,38 @@ class Parser {
 
 Result<JsonValue> ParseJson(const std::string& text) {
   return Parser(text).Parse();
+}
+
+std::string Quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string Fixed3(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f", std::isfinite(v) ? v : 0.0);
+  return buf;
 }
 
 }  // namespace gamedb::json

@@ -314,10 +314,6 @@ Result<ScriptTickStats> ScriptHost::RunTick(
       ++direct_ticks_;
     } else {
       ++fallback_ticks_;
-      // Per-reason composition: this tick's map plus the host-level
-      // accumulation (the fix for fallback_reason only keeping the last
-      // reason across a run), and the categorized registry counter.
-      ++stats.fallback_reasons[stats.fallback_reason];
       ++fallback_reason_counts_[stats.fallback_reason];
       if (options_.telemetry.metrics != nullptr) {
         options_.telemetry.metrics

@@ -129,12 +129,9 @@ struct ScriptTickStats {
   bool direct_checked = false;
   size_t direct_writes = 0;
   size_t direct_redirected = 0;
-  /// Human-readable reason of the *last* fallback this tick (kept for
-  /// display and for callers that only need one). `fallback_reasons` is the
-  /// complete per-tick composition: reason text -> occurrence count, so a
-  /// pack mixing eligible and ineligible entries reports every cause.
+  /// A tick runs one entry function, so it has at most one fallback reason;
+  /// the host's `fallback_reason_counts()` accumulates them across ticks.
   std::string fallback_reason;
-  std::map<std::string, uint64_t> fallback_reasons;
   /// Tick-phase wall-clock breakdown (steady_clock nanoseconds), the
   /// instrumentation the scenario load harness (tools/loadgen) aggregates
   /// into per-phase latency histograms. Timing only — never feeds back into
@@ -205,8 +202,7 @@ class ScriptHost {
   uint64_t fallback_ticks() const { return fallback_ticks_; }
 
   /// Accumulated fallback composition since construction: reason text ->
-  /// number of ticks that fell back for that reason (a tick with mixed
-  /// entries under one RunTick contributes one count per occurrence).
+  /// number of ticks that fell back for that reason.
   const std::map<std::string, uint64_t>& fallback_reason_counts() const {
     return fallback_reason_counts_;
   }

@@ -1,8 +1,8 @@
 #include "script/lint_report.h"
 
-#include <cctype>
 #include <cmath>
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace gamedb::script {
@@ -117,40 +117,7 @@ std::string RenderConflictDot(const std::string& origin,
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          out += StringFormat("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonStr(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
+using json::Quote;
 
 std::string JsonNum(double v) {
   if (v == static_cast<int64_t>(v) && std::fabs(v) < 1e15) {
@@ -173,9 +140,9 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
     const LintFileResult& f = files[fi];
     out += fi == 0 ? "\n" : ",\n";
     out += "    {\n";
-    out += "      \"file\": " + JsonStr(f.file) + ",\n";
+    out += "      \"file\": " + Quote(f.file) + ",\n";
     out += "      \"phase\": " +
-           JsonStr(PhaseContextName(f.phase)) + ",\n";
+           Quote(PhaseContextName(f.phase)) + ",\n";
     // Pack static cost estimate: the verifier's per-entry abstract costs
     // summed over the pack, plus the most expensive entry. `unbounded`
     // means at least one entry's cost analysis hit an unbounded loop, so
@@ -191,12 +158,12 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
            ", \"max_entry\": " +
            (f.report.max_entry_name.empty()
                 ? std::string("null")
-                : JsonStr(f.report.max_entry_name)) +
+                : Quote(f.report.max_entry_name)) +
            ", \"max_entry_cost\": " + JsonNum(f.report.max_entry_cost) +
            "},\n";
     out += "      \"parse_error\": " +
            (f.parse_error.empty() ? std::string("null")
-                                  : JsonStr(f.parse_error)) +
+                                  : Quote(f.parse_error)) +
            ",\n";
     out += "      \"diagnostics\": [";
     for (size_t di = 0; di < f.diagnostics.size(); ++di) {
@@ -205,9 +172,9 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
       out += StringFormat(
           "        {\"severity\": %s, \"pass\": %s, \"line\": %d, "
           "\"col\": %d, \"message\": %s}",
-          JsonStr(SeverityName(d.severity)).c_str(),
-          JsonStr(DiagPassName(d.pass)).c_str(), d.loc.line, d.loc.col,
-          JsonStr(d.message).c_str());
+          Quote(SeverityName(d.severity)).c_str(),
+          Quote(DiagPassName(d.pass)).c_str(), d.loc.line, d.loc.col,
+          Quote(d.message).c_str());
     }
     out += f.diagnostics.empty() ? "],\n" : "\n      ],\n";
     out += "      \"entries\": [";
@@ -216,11 +183,11 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
       const AccessSummary& a = e.facts.access;
       out += ei == 0 ? "\n" : ",\n";
       out += "        {\n";
-      out += "          \"name\": " + JsonStr(e.name) + ",\n";
+      out += "          \"name\": " + Quote(e.name) + ",\n";
       out += StringFormat("          \"handler\": %s,\n",
                           JsonBool(e.is_handler));
       out += "          \"effects\": " +
-             JsonStr(EffectSetName(e.facts.effects)) + ",\n";
+             Quote(EffectSetName(e.facts.effects)) + ",\n";
       out += "          \"cost\": " + JsonNum(e.facts.cost) + ",\n";
       out += StringFormat("          \"cost_unbounded\": %s,\n",
                           JsonBool(e.facts.cost_unbounded));
@@ -230,7 +197,7 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
         if ((bits & kAccessRead) == 0) continue;
         if (!first) out += ", ";
         first = false;
-        out += JsonStr(key);
+        out += Quote(key);
       }
       out += "],\n";
       out += "          \"writes\": [";
@@ -239,8 +206,8 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
         if ((bits & (kAccessWriteSelf | kAccessWriteForeign)) == 0) continue;
         if (!first) out += ", ";
         first = false;
-        out += "{\"field\": " + JsonStr(key) + ", \"target\": " +
-               JsonStr(WriteTargetName(bits)) + "}";
+        out += "{\"field\": " + Quote(key) + ", \"target\": " +
+               Quote(WriteTargetName(bits)) + "}";
       }
       out += "],\n";
       out += StringFormat("          \"unknown_read\": %s,\n",
@@ -259,7 +226,7 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
       out += StringFormat("          \"direct_write_eligible\": %s,\n",
                           JsonBool(eligible));
       out += "          \"ineligible_reason\": " +
-             (eligible ? std::string("null") : JsonStr(reason)) + "\n";
+             (eligible ? std::string("null") : Quote(reason)) + "\n";
       out += "        }";
     }
     out += f.report.entries.empty() ? "],\n" : "\n      ],\n";
@@ -269,9 +236,9 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
       out += ci == 0 ? "\n" : ",\n";
       out += StringFormat(
           "        {\"a\": %s, \"b\": %s, \"reason\": %s}",
-          JsonStr(f.report.entries[edge.a].name).c_str(),
-          JsonStr(f.report.entries[edge.b].name).c_str(),
-          JsonStr(edge.reason).c_str());
+          Quote(f.report.entries[edge.a].name).c_str(),
+          Quote(f.report.entries[edge.b].name).c_str(),
+          Quote(edge.reason).c_str());
     }
     out += f.report.conflicts.empty() ? "]\n" : "\n      ]\n";
     out += "    }";
@@ -282,232 +249,13 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
 }
 
 // ---------------------------------------------------------------------------
-// JSON validation: a minimal recursive-descent parser (no dependencies)
-// plus a walker for the gamedb.gsl_lint.v1 shape.
+// JSON validation: the shared common/json reader plus a walker for the
+// gamedb.gsl_lint.v1 shape.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    GAMEDB_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Fail("trailing content after top-level value");
-    }
-    return v;
-  }
-
- private:
-  Status Fail(const std::string& why) const {
-    return Status::InvalidArgument(
-        StringFormat("json parse error at offset %zu: %s", pos_,
-                     why.c_str()));
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(const char* w) {
-    size_t len = std::string(w).size();
-    if (text_.compare(pos_, len, w) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    char c = text_[pos_];
-    JsonValue v;
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        GAMEDB_ASSIGN_OR_RETURN(v.str, ParseString());
-        v.kind = JsonValue::Kind::kString;
-        return v;
-      }
-      case 't':
-        if (!ConsumeWord("true")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        v.b = true;
-        return v;
-      case 'f':
-        if (!ConsumeWord("false")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        v.b = false;
-        return v;
-      case 'n':
-        if (!ConsumeWord("null")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kNull;
-        return v;
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    if (!Consume('{')) return Fail("expected '{'");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return v;
-    while (true) {
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected object key string");
-      }
-      GAMEDB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      if (!Consume(':')) return Fail("expected ':' after key");
-      GAMEDB_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      v.members.emplace_back(std::move(key), std::move(member));
-      if (Consume(',')) continue;
-      if (Consume('}')) return v;
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    if (!Consume('[')) return Fail("expected '['");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return v;
-    while (true) {
-      GAMEDB_ASSIGN_OR_RETURN(JsonValue item, ParseValue());
-      v.items.push_back(std::move(item));
-      if (Consume(',')) continue;
-      if (Consume(']')) return v;
-      return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  Result<std::string> ParseString() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected '\"'");
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out += esc;
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape digit");
-              }
-            }
-            // Only the escapes this emitter produces (< 0x20) need decode;
-            // anything else passes through as '?' rather than full UTF-16.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.num = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+using json::JsonValue;
 
 Status Expect(bool cond, const std::string& what) {
   if (cond) return Status::OK();
@@ -574,14 +322,14 @@ Status ValidateEntry(const JsonValue& e) {
   const JsonValue* reads = e.Find("reads");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(reads, JsonValue::Kind::kArray),
                               "entry.reads must be an array"));
-  for (const JsonValue& r : reads->items) {
+  for (const JsonValue& r : reads->elements) {
     GAMEDB_RETURN_NOT_OK(Expect(r.kind == JsonValue::Kind::kString,
                                 "entry.reads items must be strings"));
   }
   const JsonValue* writes = e.Find("writes");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(writes, JsonValue::Kind::kArray),
                               "entry.writes must be an array"));
-  for (const JsonValue& w : writes->items) {
+  for (const JsonValue& w : writes->elements) {
     GAMEDB_RETURN_NOT_OK(Expect(
         w.kind == JsonValue::Kind::kObject &&
             IsKind(w.Find("field"), JsonValue::Kind::kString),
@@ -636,19 +384,19 @@ Status ValidateFile(const JsonValue& f) {
   const JsonValue* diags = f.Find("diagnostics");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(diags, JsonValue::Kind::kArray),
                               "file.diagnostics must be an array"));
-  for (const JsonValue& d : diags->items) {
+  for (const JsonValue& d : diags->elements) {
     GAMEDB_RETURN_NOT_OK(ValidateDiagnostic(d));
   }
   const JsonValue* entries = f.Find("entries");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(entries, JsonValue::Kind::kArray),
                               "file.entries must be an array"));
-  for (const JsonValue& e : entries->items) {
+  for (const JsonValue& e : entries->elements) {
     GAMEDB_RETURN_NOT_OK(ValidateEntry(e));
   }
   const JsonValue* conflicts = f.Find("conflicts");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(conflicts, JsonValue::Kind::kArray),
                               "file.conflicts must be an array"));
-  for (const JsonValue& c : conflicts->items) {
+  for (const JsonValue& c : conflicts->elements) {
     GAMEDB_RETURN_NOT_OK(Expect(
         c.kind == JsonValue::Kind::kObject &&
             IsKind(c.Find("a"), JsonValue::Kind::kString) &&
@@ -661,9 +409,8 @@ Status ValidateFile(const JsonValue& f) {
 
 }  // namespace
 
-Status ValidateLintJson(const std::string& json) {
-  JsonParser parser(json);
-  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, parser.Parse());
+Status ValidateLintJson(const std::string& doc) {
+  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, json::ParseJson(doc));
   GAMEDB_RETURN_NOT_OK(Expect(root.kind == JsonValue::Kind::kObject,
                               "top level must be an object"));
   const JsonValue* schema = root.Find("schema");
@@ -677,7 +424,7 @@ Status ValidateLintJson(const std::string& json) {
   const JsonValue* files = root.Find("files");
   GAMEDB_RETURN_NOT_OK(Expect(IsKind(files, JsonValue::Kind::kArray),
                               "files must be an array"));
-  for (const JsonValue& f : files->items) {
+  for (const JsonValue& f : files->elements) {
     GAMEDB_RETURN_NOT_OK(ValidateFile(f));
   }
   return Status::OK();

@@ -3,9 +3,9 @@
 /// \file lint_report.h
 /// Rendering for verifier results beyond plain diagnostics: per-entry access
 /// summaries, the pack conflict matrix (text + DOT), and the machine-readable
-/// `gsl_lint --json` document with its validating parser. Lives in the
-/// library (not the tool) so tests can pin the formats and future schedulers
-/// can reuse the JSON emitter.
+/// `gsl_lint --json` document with its validator. Lives in the library (not
+/// the tool) so tests can pin the formats and future schedulers can reuse the
+/// JSON emitter.
 
 #include <string>
 #include <vector>
@@ -43,10 +43,11 @@ std::string RenderConflictDot(const std::string& origin,
 std::string RenderLintJson(const std::vector<LintFileResult>& files,
                            bool werror);
 
-/// Validates that `json` parses as JSON *and* conforms to the
-/// gamedb.gsl_lint.v1 shape (required keys, enum values, types). gsl_lint
+/// Validates that `doc` parses as JSON *and* conforms to the
+/// gamedb.gsl_lint.v1 shape (required keys, enum values, types). Malformed
+/// JSON is a ParseError, a shape violation an InvalidArgument. gsl_lint
 /// round-trips its own output through this before printing, so a schema
 /// regression fails in CI rather than in a consumer.
-Status ValidateLintJson(const std::string& json);
+Status ValidateLintJson(const std::string& doc);
 
 }  // namespace gamedb::script

@@ -10,30 +10,6 @@ namespace gamedb::telemetry {
 
 namespace {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Integral doubles (counter deltas, ns durations, percentile estimates)
 /// print as integers; the rest keep six decimals.
 std::string Num(double v) {
@@ -46,12 +22,6 @@ std::string Num(double v) {
   } else {
     std::snprintf(buf, sizeof(buf), "0");
   }
-  return buf;
-}
-
-std::string Num3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", std::isfinite(v) ? v : 0.0);
   return buf;
 }
 
@@ -83,8 +53,8 @@ std::string Indent(const std::string& doc, int pad) {
 }  // namespace
 
 std::string SloCheck::ToString() const {
-  std::string out = name + ": measured " + Num3(measured_ms) +
-                    " ms vs allowed " + Num3(target_ms) + " ms";
+  std::string out = name + ": measured " + json::Fixed3(measured_ms) +
+                    " ms vs allowed " + json::Fixed3(target_ms) + " ms";
   out += violated ? " [VIOLATED]" : " [ok]";
   return out;
 }
@@ -95,9 +65,9 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   out += kFlightRecSchema;
   out += "\",\n";
 
-  out += "  \"trigger\": {\"reason\": \"" + Escape(inputs.reason) +
-         "\", \"tick\": " + std::to_string(inputs.tick) +
-         ", \"scenario\": \"" + Escape(inputs.scenario) + "\"},\n";
+  out += "  \"trigger\": {\"reason\": " + json::Quote(inputs.reason) +
+         ", \"tick\": " + std::to_string(inputs.tick) +
+         ", \"scenario\": " + json::Quote(inputs.scenario) + "},\n";
 
   out += "  \"rules\": [";
   bool first = true;
@@ -106,9 +76,9 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
       out += first ? "\n" : ",\n";
       first = false;
       const HealthRule& r = st.rule;
-      out += "    {\"name\": \"" + Escape(r.name) + "\"";
-      out += ", \"rendered\": \"" + Escape(r.ToString()) + "\"";
-      out += ", \"metric\": \"" + Escape(r.metric) + "\"";
+      out += "    {\"name\": " + json::Quote(r.name);
+      out += ", \"rendered\": " + json::Quote(r.ToString());
+      out += ", \"metric\": " + json::Quote(r.metric);
       out += ", \"aggregation\": \"";
       out += AggregationName(r.aggregation);
       out += "\", \"window\": " + std::to_string(r.window);
@@ -137,12 +107,12 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   for (const SloCheck& check : inputs.slo_checks) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + Escape(check.name) + "\"";
+    out += "    {\"name\": " + json::Quote(check.name);
     out += ", \"target_ms\": " + Num(check.target_ms);
     out += ", \"measured_ms\": " + Num(check.measured_ms);
     out += ", \"violated\": ";
     out += check.violated ? "true" : "false";
-    out += ", \"rendered\": \"" + Escape(check.ToString()) + "\"}";
+    out += ", \"rendered\": " + json::Quote(check.ToString()) + "}";
   }
   out += first ? "],\n" : "\n  ],\n";
 
@@ -152,7 +122,7 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
     for (const FlightRecorder::Series& s : inputs.recorder->Snapshot()) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    {\"name\": \"" + Escape(s.name) + "\"";
+      out += "    {\"name\": " + json::Quote(s.name);
       out += ", \"kind\": \"";
       out += SeriesKindName(s.kind);
       out += "\", \"ticks\": [";
@@ -190,7 +160,7 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
     for (const TraceEvent& e : events) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    {\"name\": \"" + Escape(e.name) + "\"";
+      out += "    {\"name\": " + json::Quote(e.name);
       out += ", \"ts_ns\": " + std::to_string(e.ts_ns);
       out += ", \"dur_ns\": " + std::to_string(e.dur_ns);
       out += ", \"tid\": " + std::to_string(e.tid);
@@ -204,7 +174,7 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   for (const std::string& plan : inputs.hot_plans) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + Escape(plan) + "\"";
+    out += "    " + json::Quote(plan);
   }
   out += first ? "]\n" : "\n  ]\n";
 

@@ -1,46 +1,10 @@
 #include "telemetry/registry.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.h"
 
 namespace gamedb::telemetry {
-
-namespace {
-
-/// %.3f, matching the loadgen report's number formatting.
-std::string Num3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 uint64_t Histogram::Percentile(double p) const {
   // Relaxed snapshot of the buckets; rank logic mirrors
@@ -153,8 +117,7 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const auto& [name, value] : registry.CounterValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(name) +
-           "\": " + std::to_string(value);
+    out += "    " + json::Quote(name) + ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -163,8 +126,7 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const auto& [name, value] : registry.GaugeValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(name) +
-           "\": " + std::to_string(value);
+    out += "    " + json::Quote(name) + ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -173,11 +135,11 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const HistogramSummary& h : registry.HistogramValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(h.name) + "\": {";
+    out += "    " + json::Quote(h.name) + ": {";
     out += "\"count\": " + std::to_string(h.count);
     out += ", \"min\": " + std::to_string(h.min);
     out += ", \"max\": " + std::to_string(h.max);
-    out += ", \"mean\": " + Num3(h.mean);
+    out += ", \"mean\": " + json::Fixed3(h.mean);
     out += ", \"p50\": " + std::to_string(h.p50);
     out += ", \"p99\": " + std::to_string(h.p99);
     out += ", \"p999\": " + std::to_string(h.p999);

@@ -8,11 +8,12 @@
 /// inert: every instrument lookup is skipped and spans cost one null
 /// check.
 ///
-/// `recorder` and `watchdog` (PR 10) are the continuous-observability
-/// pair: subsystems never call them directly — only the sequential point
-/// of the tick samples the recorder and evaluates the watchdog — but
-/// carrying them on the sink lets any layer that owns the tick loop
-/// (loadgen's Driver, scripted_world) reach them without new plumbing.
+/// `recorder` and `watchdog` are the continuous-observability pair:
+/// subsystems never call them directly — only the sequential point of the
+/// tick samples the recorder and evaluates the watchdog, through
+/// `TickHeartbeat` — but carrying them on the sink lets any layer that owns
+/// the tick loop (loadgen's Driver, scripted_world) reach them without new
+/// plumbing.
 
 #include "telemetry/registry.h"
 #include "telemetry/timeseries.h"
@@ -29,11 +30,9 @@ struct TelemetrySink {
   /// Health rules over the recorder; evaluated right after Sample().
   Watchdog* watchdog = nullptr;
 
-  bool active() const { return metrics != nullptr || tracer != nullptr; }
-
   /// One call for the sequential point: sample the recorder, evaluate the
   /// watchdog, return rules that newly tripped at this tick.
-  std::vector<std::string> TickHeartbeat(uint64_t tick) {
+  std::vector<std::string> TickHeartbeat(uint64_t tick) const {
     if (recorder != nullptr) recorder->Sample(tick);
     if (watchdog != nullptr) return watchdog->Evaluate(tick);
     return {};

@@ -19,30 +19,6 @@ std::string Micros(uint64_t ns) {
   return buf;
 }
 
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string RenderChromeTraceJson(const Tracer& tracer) {
@@ -61,7 +37,7 @@ std::string RenderChromeTraceJson(const Tracer& tracer) {
   for (const TraceEvent& e : events) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + EscapeJsonString(e.name) + "\"";
+    out += "    {\"name\": " + json::Quote(e.name);
     out += ", \"cat\": \"gamedb\"";
     out += ", \"ph\": \"X\"";
     out += ", \"ts\": " + Micros(e.ts_ns);

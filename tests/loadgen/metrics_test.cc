@@ -102,6 +102,8 @@ TEST(MetricsValidateTest, RejectsGarbage) {
   EXPECT_FALSE(ValidateReportJson("{\"a\":1} trailing").ok());
   EXPECT_FALSE(ValidateReportJson("{\"a\":}").ok());
   EXPECT_FALSE(ValidateReportJson("{\"a\":\"unterminated").ok());
+  // Hostile nesting: a Status, not a stack overflow.
+  EXPECT_FALSE(ValidateReportJson(std::string(100000, '[')).ok());
 }
 
 TEST(MetricsValidateTest, RejectsWrongSchemaTag) {

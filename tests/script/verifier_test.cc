@@ -747,7 +747,8 @@ TEST_F(VerifierTest, LintJsonRoundTripsThroughItsValidator) {
   EXPECT_NE(doc.find("\"static_cost\": {\"total\": "), std::string::npos);
   EXPECT_NE(doc.find("\"max_entry\": \"t\""), std::string::npos);
 
-  // Corruptions are rejected: bad severity, truncation, wrong schema tag.
+  // Corruptions are rejected: bad severity, truncation, wrong schema tag,
+  // and nesting deep enough to overflow an unbounded recursive parser.
   std::string bad = doc;
   size_t at = bad.find("\"warning\"");
   ASSERT_NE(at, std::string::npos);
@@ -759,6 +760,7 @@ TEST_F(VerifierTest, LintJsonRoundTripsThroughItsValidator) {
   wrong_tag.replace(at, 18, "gamedb.gsl_lint.v9");
   EXPECT_FALSE(ValidateLintJson(wrong_tag).ok());
   EXPECT_FALSE(ValidateLintJson("not json at all").ok());
+  EXPECT_FALSE(ValidateLintJson(std::string(100000, '[')).ok());
 }
 
 TEST_F(VerifierTest, AccessReportRendersMatrixForConflictingPack) {

@@ -1,8 +1,7 @@
 // ScriptHost <-> telemetry integration: tick counters and phase histograms
 // fold into the registry, spans land on the tracer with the shard tid
-// convention, a wired-but-disabled sink records nothing, and the
-// per-reason fallback counters (the fix for fallback_reason keeping only
-// the last tick's reason) accumulate in the stats map, the host, and the
+// convention, a wired-but-disabled sink records nothing, and every tick's
+// fallback reason accumulates in the host's per-reason counts and the
 // categorized registry counters.
 
 #include "script/host.h"
@@ -110,9 +109,9 @@ TEST_F(HostTelemetryTest, DisabledSinkRecordsNothing) {
   EXPECT_EQ(tracer.size(), 0u);
 }
 
-// The satellite fix: fallback_reason held only the *last* tick's reason;
-// the map (per tick-stats and cumulative on the host) plus the categorized
-// registry counters must count every occurrence.
+// Each tick reports its one fallback reason; the host's cumulative
+// per-reason map and the categorized registry counters count every
+// occurrence across ticks.
 TEST_F(HostTelemetryTest, FallbackReasonsAccumulatePerReason) {
   Populate(&world, 4);
   telemetry::MetricsRegistry registry;
@@ -136,10 +135,8 @@ TEST_F(HostTelemetryTest, FallbackReasonsAccumulatePerReason) {
     auto stats = host.RunTickOver("tick", "Health");
     ASSERT_TRUE(stats.ok());
     EXPECT_FALSE(stats->direct_checked);
-    ASSERT_EQ(stats->fallback_reasons.size(), 1u);
-    reason = stats->fallback_reasons.begin()->first;
-    // The last-only string field still agrees with the map's key.
-    EXPECT_EQ(stats->fallback_reason, reason);
+    ASSERT_FALSE(stats->fallback_reason.empty());
+    reason = stats->fallback_reason;
   }
   EXPECT_NE(reason.find("emits effects"), std::string::npos) << reason;
 
@@ -170,7 +167,7 @@ TEST_F(HostTelemetryTest, ObserverFallbackBucketsAsObservers) {
   auto direct = host.RunTickOver("tick", "Health");
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(direct->direct_checked);
-  EXPECT_TRUE(direct->fallback_reasons.empty());
+  EXPECT_TRUE(direct->fallback_reason.empty());
 
   world.Table<Health>().Subscribe(
       [](ChangeKind, EntityId, const Health*, const Health*) {});
@@ -178,10 +175,9 @@ TEST_F(HostTelemetryTest, ObserverFallbackBucketsAsObservers) {
   auto fallback = host.RunTickOver("tick", "Health");
   ASSERT_TRUE(fallback.ok());
   EXPECT_FALSE(fallback->direct_checked);
-  ASSERT_EQ(fallback->fallback_reasons.size(), 1u);
-  EXPECT_NE(fallback->fallback_reasons.begin()->first.find(
-                "change observers"),
-            std::string::npos);
+  EXPECT_NE(fallback->fallback_reason.find("change observers"),
+            std::string::npos)
+      << fallback->fallback_reason;
 
   EXPECT_EQ(registry.GetCounter("script.fallback.observers")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("script.direct_ticks")->value(), 1u);

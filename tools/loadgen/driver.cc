@@ -245,12 +245,9 @@ Status Driver::Tick(uint64_t t,
   if (m_clients_ != nullptr) {
     m_clients_->Set(static_cast<int64_t>(sync_->connected_count()));
   }
-  if (cfg_.recorder != nullptr) cfg_.recorder->Sample(t);
-  if (cfg_.watchdog != nullptr) {
-    for (const std::string& rule : cfg_.watchdog->Evaluate(t)) {
-      std::fprintf(stderr, "loadgen: watchdog TRIPPED at tick %llu: %s\n",
-                   static_cast<unsigned long long>(t), rule.c_str());
-    }
+  for (const std::string& rule : MakeSink(cfg_).TickHeartbeat(t)) {
+    std::fprintf(stderr, "loadgen: watchdog TRIPPED at tick %llu: %s\n",
+                 static_cast<unsigned long long>(t), rule.c_str());
   }
   return Status::OK();
 }

@@ -1,12 +1,8 @@
 #include "loadgen/metrics.h"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <vector>
 
+#include "common/json.h"
 #include "common/macros.h"
 
 namespace gamedb::loadgen {
@@ -14,37 +10,6 @@ namespace gamedb::loadgen {
 namespace {
 
 // --- Rendering --------------------------------------------------------------
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Fixed-precision double rendering: deterministic for identical values,
-/// never locale-dependent, never scientific notation.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 /// Streams `"key": value` pairs with fixed order and indentation.
 class ObjectWriter {
@@ -54,7 +19,7 @@ class ObjectWriter {
   }
   void Field(const char* key, const std::string& s) {
     Key(key);
-    *out_ += '"' + EscapeJson(s) + '"';
+    *out_ += json::Quote(s);
   }
   void Field(const char* key, uint64_t v) {
     Key(key);
@@ -62,7 +27,7 @@ class ObjectWriter {
   }
   void Field(const char* key, double v) {
     Key(key);
-    *out_ += FormatDouble(v);
+    *out_ += json::Fixed3(v);
   }
   void Field(const char* key, bool v) {
     Key(key);
@@ -103,187 +68,9 @@ void RenderSummary(ObjectWriter& w, const char* key,
   });
 }
 
-// --- Minimal JSON parser (validation only) ----------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  /// Insertion order is irrelevant for validation; a map keeps lookup easy.
-  std::map<std::string, JsonValue> fields;
-
-  const JsonValue* Find(const std::string& key) const {
-    auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Status Parse(JsonValue* out) {
-    GAMEDB_RETURN_NOT_OK(ParseValue(out));
-    SkipSpace();
-    if (pos_ != text_.size()) return Fail("trailing characters");
-    return Status::OK();
-  }
-
- private:
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(pos_));
-  }
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  Status ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't' || c == 'f') return ParseLiteral(out);
-    if (c == 'n') return ParseLiteral(out);
-    return ParseNumber(out);
-  }
-  Status ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipSpace();
-      std::string key;
-      GAMEDB_RETURN_NOT_OK(ParseString(&key));
-      if (!Consume(':')) return Fail("expected ':'");
-      JsonValue value;
-      GAMEDB_RETURN_NOT_OK(ParseValue(&value));
-      out->fields.emplace(std::move(key), std::move(value));
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Fail("expected ',' or '}'");
-    }
-  }
-  Status ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      JsonValue value;
-      GAMEDB_RETURN_NOT_OK(ParseValue(&value));
-      out->items.push_back(std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Fail("expected ',' or ']'");
-    }
-  }
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected string");
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            // Validation never inspects escaped text; keep the raw form.
-            *out += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return Fail("bad escape");
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return Fail("unterminated string");
-  }
-  Status ParseLiteral(JsonValue* out) {
-    auto match = [&](const char* word) {
-      size_t n = std::char_traits<char>::length(word);
-      if (text_.compare(pos_, n, word) == 0) {
-        pos_ += n;
-        return true;
-      }
-      return false;
-    };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = true;
-      return Status::OK();
-    }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = false;
-      return Status::OK();
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return Status::OK();
-    }
-    return Fail("bad literal");
-  }
-  Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected value");
-    try {
-      out->num = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("bad number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 // --- Schema checks ----------------------------------------------------------
+
+using json::JsonValue;
 
 Status Require(const JsonValue& obj, const char* section, const char* key,
                JsonValue::Kind kind) {
@@ -409,9 +196,8 @@ Result<std::string> WriteReportFile(const ScenarioReport& report,
   return path;
 }
 
-Status ValidateReportJson(const std::string& json) {
-  JsonValue root;
-  GAMEDB_RETURN_NOT_OK(JsonParser(json).Parse(&root));
+Status ValidateReportJson(const std::string& doc) {
+  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, json::ParseJson(doc));
   if (root.kind != JsonValue::Kind::kObject) {
     return Status::InvalidArgument("schema: top level must be an object");
   }
@@ -463,7 +249,7 @@ Status ValidateReportJson(const std::string& json) {
 
   const JsonValue* timing = root.Find("timing");
   const JsonValue* collect = config->Find("collect_timing");
-  if (collect != nullptr && collect->b) {
+  if (collect != nullptr && collect->boolean) {
     if (timing == nullptr || timing->kind != JsonValue::Kind::kObject) {
       return Status::InvalidArgument(
           "schema: collect_timing=true but no timing object");
@@ -489,7 +275,7 @@ Status ValidateReportJson(const std::string& json) {
     if (checks == nullptr || checks->kind != JsonValue::Kind::kObject) {
       return Status::InvalidArgument("schema: missing timing.slo.checks");
     }
-    for (const auto& [name, check] : checks->fields) {
+    for (const auto& [name, check] : checks->members) {
       if (check.kind != JsonValue::Kind::kObject) {
         return Status::InvalidArgument("schema: timing.slo.checks." + name +
                                        " must be an object");

@@ -36,7 +36,8 @@ Result<std::string> WriteReportFile(const ScenarioReport& report,
 /// Structural schema check over a rendered report: valid JSON, schema tag
 /// "gamedb.e15.v1", required config + deterministic fields with the right
 /// types, and — when the timing section is present — the latency digests.
-/// Returns OK or an InvalidArgument naming the first problem.
-Status ValidateReportJson(const std::string& json);
+/// Returns OK, a ParseError for malformed JSON, or an InvalidArgument naming
+/// the first schema problem.
+Status ValidateReportJson(const std::string& doc);
 
 }  // namespace gamedb::loadgen
