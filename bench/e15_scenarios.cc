@@ -41,13 +41,14 @@ void RunScenarioBench(benchmark::State& state, const std::string& name) {
     last = report.value();
     benchmark::DoNotOptimize(last.world_hash);
   }
-  state.counters["tick_p50_us"] = double(last.tick.p50_ns) / 1e3;
-  state.counters["tick_p99_us"] = double(last.tick.p99_ns) / 1e3;
-  state.counters["tick_p999_us"] = double(last.tick.p999_ns) / 1e3;
+  state.counters["tick_p50_us"] = double(last.tick.p50) / 1e3;
+  state.counters["tick_p99_us"] = double(last.tick.p99) / 1e3;
+  state.counters["tick_p999_us"] = double(last.tick.p999) / 1e3;
   state.counters["sync_B_per_client_tick"] = last.sync_bytes_per_client_tick;
-  state.counters["script_p99_us"] = double(last.script_phase.p99_ns) / 1e3;
+  state.counters["script_p99_us"] =
+      double(last.phases[kPhaseRunTick].p99) / 1e3;
   state.counters["maintain_p99_us"] =
-      double(last.view_maintain.p99_ns) / 1e3;
+      double(last.phases[kPhaseMaintainPreScript].p99) / 1e3;
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(cfg.ticks));
 }
 

@@ -102,7 +102,9 @@ int main(int argc, char** argv) {
       persistence.OnEvent(world.tick(), 1.0, "quest_step").ok();
     }
 
-    // 3. Replicate to the connected clients.
+    // 3. Replicate to the connected clients. Interest views first absorb
+    //    every move since the last sync.
+    if (catalog != nullptr) catalog->Maintain();
     if (!sync.SyncAll(&sync_stats).ok()) return 1;
     for (const auto& s : sync_stats) sync_bytes += s.bytes_sent;
 

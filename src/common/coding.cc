@@ -58,7 +58,7 @@ Status Decoder::GetFixed32(uint32_t* v) {
 }
 
 Status Decoder::GetFixed64(uint64_t* v) {
-  uint32_t lo, hi;
+  uint32_t lo = 0, hi = 0;
   GAMEDB_RETURN_NOT_OK(GetFixed32(&lo));
   GAMEDB_RETURN_NOT_OK(GetFixed32(&hi));
   *v = (static_cast<uint64_t>(hi) << 32) | lo;
@@ -95,14 +95,14 @@ Status Decoder::GetVarint64(uint64_t* v) {
 }
 
 Status Decoder::GetVarintSigned64(int64_t* v) {
-  uint64_t zz;
+  uint64_t zz = 0;
   GAMEDB_RETURN_NOT_OK(GetVarint64(&zz));
   *v = static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
   return Status::OK();
 }
 
 Status Decoder::GetLengthPrefixed(std::string_view* s) {
-  uint64_t len;
+  uint64_t len = 0;
   GAMEDB_RETURN_NOT_OK(GetVarint64(&len));
   return GetRaw(static_cast<size_t>(len), s);
 }

@@ -11,9 +11,10 @@
 /// histogram stays ~15 KB and mergeable by bucket-wise addition. Values
 /// below 32 are recorded exactly.
 ///
-/// Used by the scenario load harness (tools/loadgen) for per-tick latency
-/// SLO reporting, and suitable for any hot-path timing accumulation: Record
-/// is branch-light and allocation-free.
+/// Its bucket layout is the one the telemetry registry's lock-free Histogram
+/// shares (telemetry/registry.h), which the scenario load harness
+/// (tools/loadgen) reads for per-tick latency SLO reporting. Record is
+/// branch-light and allocation-free.
 
 #include <algorithm>
 #include <array>
@@ -22,9 +23,10 @@
 
 namespace gamedb {
 
-/// Monotonic wall-clock in nanoseconds — the single timestamp source of the
-/// tick-phase instrumentation (ScriptTickStats, ViewStats/CatalogStats) and
-/// the scenario load harness, so every phase breakdown sums consistently.
+/// Monotonic wall-clock in nanoseconds — the single timestamp source of
+/// telemetry::TraceSpan, which times every tick phase once, so every phase
+/// breakdown sums consistently. (The planner's EXPLAIN ANALYZE timer reads
+/// it too.)
 inline uint64_t MonotonicNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

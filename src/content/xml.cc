@@ -83,7 +83,7 @@ class XmlParser {
 
   Result<std::unique_ptr<XmlNode>> Run() {
     SkipProlog();
-    GAMEDB_ASSIGN_OR_RETURN(auto root, ParseElement());
+    GAMEDB_ASSIGN_OR_RETURN(auto root, ParseElement(/*depth=*/1));
     SkipWhitespaceAndComments();
     if (pos_ < src_.size()) {
       return Err("trailing content after root element");
@@ -179,7 +179,11 @@ class XmlParser {
     return out;
   }
 
-  Result<std::unique_ptr<XmlNode>> ParseElement() {
+  Result<std::unique_ptr<XmlNode>> ParseElement(int depth) {
+    if (depth > kMaxXmlDepth) {
+      return Err(StringFormat("elements nested deeper than %d levels",
+                              kMaxXmlDepth));
+    }
     if (Peek() != '<') return Err("expected '<'");
     Get();
     auto node = std::make_unique<XmlNode>();
@@ -242,7 +246,7 @@ class XmlParser {
           node->text = std::string(Trim(decoded));
           return node;
         }
-        GAMEDB_ASSIGN_OR_RETURN(auto child, ParseElement());
+        GAMEDB_ASSIGN_OR_RETURN(auto child, ParseElement(depth + 1));
         node->children.push_back(std::move(child));
       } else {
         text.push_back(Get());

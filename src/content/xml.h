@@ -17,6 +17,12 @@
 
 namespace gamedb::content {
 
+/// Deepest element nesting ParseXml accepts: the root element is at depth
+/// 1, an element at depth `kMaxXmlDepth` parses, and one level deeper is a
+/// ParseError. Bounds the parser's recursion (and the tree's) on hostile
+/// input; content files nest far less.
+inline constexpr int kMaxXmlDepth = 256;
+
 /// One element of the parsed tree.
 struct XmlNode {
   std::string name;

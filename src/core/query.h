@@ -137,13 +137,6 @@ class QueryPlanHook {
   /// estimates, as human-readable text.
   virtual Result<std::string> ExplainQuery(const DynamicQuery& q) = 0;
 
-  /// Called from a sequential point before a batch of (possibly
-  /// concurrent) queries — ScriptHost::RunTick invokes it before the
-  /// parallel query phase. Implementations refresh statistics and caches
-  /// here; Execute must then be safe to call concurrently until the next
-  /// sequential point.
-  virtual void OnQuiescent() {}
-
   /// Driver choice for a statically-typed View<Ts...> join: given the
   /// joined tables' type ids, returns the index of the table to iterate,
   /// or kNoDriverPreference to keep the caller's smallest-table default.

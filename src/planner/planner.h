@@ -80,8 +80,8 @@ struct PlanRuntimeStats {
 /// Thread safety: Execute/ExplainQuery are safe to call concurrently (the
 /// scripted parallel query phase does); Analyze/MaybeRefreshStats/
 /// OnQuiescent mutate statistics and must run from sequential code — the
-/// ScriptHost calls OnQuiescent before fanning out, which is the intended
-/// pattern.
+/// tick loop calls OnQuiescent before the ScriptHost fans out, which is the
+/// intended pattern.
 class QueryPlanner final : public QueryPlanHook {
  public:
   explicit QueryPlanner(World* world, PlannerOptions options = {});
@@ -139,9 +139,10 @@ class QueryPlanner final : public QueryPlanHook {
   /// text plus an analyze summary (executions, avg latency, avg rows per
   /// operator stage). Empty until runtime collection has run. Thread-safe.
   std::vector<std::string> HottestPlans(size_t n) const;
-  /// Sequential-point hook: refreshes stats if drifted (the ScriptHost
-  /// calls this before each parallel query phase).
-  void OnQuiescent() override { MaybeRefreshStats(); }
+  /// Sequential-point hook: refreshes stats if drifted. The tick loop
+  /// calls it before each parallel query phase, before any (possibly
+  /// concurrent) query of the tick plans.
+  void OnQuiescent() { MaybeRefreshStats(); }
 
   /// View<Ts...> driver choice from live-row statistics. Cost of driving
   /// from table D: every raw row pays the scan visit (rows of dead

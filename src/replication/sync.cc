@@ -85,15 +85,7 @@ void SyncServer::RemoveClient(size_t i) {
 }
 
 Status SyncServer::SyncAll(std::vector<SyncStats>* stats) {
-  telemetry::TraceSpan span(options_.telemetry.tracer, "sync.sync_all");
   stats->assign(clients_.size(), SyncStats{});
-  // One maintenance round serves every client: the interest views absorb
-  // all position/table deltas since the last sync here, instead of each
-  // client rescanning the Position table below.
-  if (options_.strategy == SyncStrategy::kInterestView &&
-      options_.view_catalog != nullptr) {
-    options_.view_catalog->Maintain();
-  }
   for (size_t i = 0; i < clients_.size(); ++i) {
     if (!clients_[i]->connected_) continue;
     GAMEDB_RETURN_NOT_OK(SyncOne(clients_[i].get(), &(*stats)[i]));

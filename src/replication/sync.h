@@ -12,9 +12,10 @@
 /// section (what may diverge between machines vs what must not), plus the
 /// aggro-management material in aggro.h / E11.
 ///
-/// Scope: component *values* of live entities replicate; this layer does
-/// not propagate entity destruction (the experiment workloads mutate,
-/// they don't despawn mid-measurement).
+/// Scope: component values replicate, and so does destruction, as row
+/// removals: SendDelta erases every row the server removed since the
+/// client's last ack, and the interest strategies destroy a replica entity
+/// once it leaves interest (a destroyed entity always does).
 
 #include <memory>
 #include <string>
@@ -69,12 +70,14 @@ struct SyncOptions {
   /// kEventual: ticks between syncs.
   uint32_t period_ticks = 10;
   /// kInterestView: catalog hosting the per-client interest views (one
-  /// "__sync_interest_<i>" view per client, registered by AddClient). The
-  /// server Maintain()s it once per SyncAll; must outlive the SyncServer.
+  /// "__sync_interest_<i>" view per client, registered by AddClient); must
+  /// outlive the SyncServer. The tick loop calls its Maintain() before
+  /// SyncAll, so the views hold every move since the last sync; SyncAll
+  /// itself only recenters them on the avatars.
   views::ViewCatalog* view_catalog = nullptr;
-  /// Optional telemetry hook: SyncAll records a "sync.sync_all" span and
-  /// folds per-round byte/row/removal totals into the `sync.*` registry
-  /// counters. Non-owning; must outlive the server.
+  /// Optional telemetry hook: SyncAll folds per-round byte/row/removal
+  /// totals into the `sync.*` registry counters. Non-owning; must outlive
+  /// the server.
   telemetry::TelemetrySink telemetry{};
 };
 
@@ -136,7 +139,8 @@ class SyncServer {
   size_t connected_count() const { return connected_count_; }
 
   /// Synchronizes every client for the server's current tick. Appends the
-  /// per-client byte cost into `stats` (sized to client count).
+  /// per-client byte cost into `stats` (sized to client count). Under
+  /// kInterestView, Maintain() the view catalog first (see SyncOptions).
   Status SyncAll(std::vector<SyncStats>* stats);
 
  private:

@@ -216,8 +216,8 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 ///                                        the DynamicQuery terminals — when
 ///                                        a min/max/avg view is empty;
 ///                                        empty sum/count views return 0)
-/// All are read-only and safe during the parallel query phase — the host
-/// maintains views only at its sequential point. Unknown view names are
+/// All are read-only and safe during the parallel query phase — views are
+/// maintained only at the tick's sequential point. Unknown view names are
 /// script errors. `catalog` must outlive the interpreter.
 void BindViews(Interpreter* interp, views::ViewCatalog* catalog);
 

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/percentile.h"
 #include "common/string_util.h"
 #include "core/query.h"
 #include "script/builtins.h"
@@ -81,9 +80,6 @@ ScriptHost::ScriptHost(World* world, ScriptHostOptions options)
     instruments_.direct_writes = reg->GetCounter("script.direct_writes");
     instruments_.direct_redirected =
         reg->GetCounter("script.direct_redirected");
-    instruments_.quiescent_ns =
-        reg->GetHistogram("script.phase.quiescent_ns");
-    instruments_.maintain_ns = reg->GetHistogram("script.phase.maintain_ns");
     instruments_.query_phase_ns =
         reg->GetHistogram("script.phase.query_ns");
     instruments_.apply_phase_ns =
@@ -325,29 +321,6 @@ Result<ScriptTickStats> ScriptHost::RunTick(
   }
   stats.direct_checked = direct;
   gate_.enabled = direct;
-  // Sequential point: let the planner refresh its statistics (and thereby
-  // invalidate cached plans) before shards start planning concurrently,
-  // then maintain live views from the change capture of the previous
-  // apply phase — subscriptions fire here, and shards read a consistent
-  // view snapshot for the whole parallel phase.
-  telemetry::Tracer* tracer = options_.telemetry.tracer;
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  if (options_.planner != nullptr) {
-    uint64_t t0 = MonotonicNanos();
-    options_.planner->OnQuiescent();
-    stats.quiescent_ns = MonotonicNanos() - t0;
-    if (tracing) {
-      tracer->RecordSpan("planner.quiescent", t0, stats.quiescent_ns, 0);
-    }
-  }
-  if (options_.views != nullptr) {
-    uint64_t t0 = MonotonicNanos();
-    options_.views->Maintain();
-    stats.maintain_ns = MonotonicNanos() - t0;
-    if (tracing) {
-      tracer->RecordSpan("views.maintain", t0, stats.maintain_ns, 0);
-    }
-  }
   // Pre-create the wired channels so steady-state emits take only the
   // shared-lock path in ScriptEffects::Channel.
   for (const auto& [name, apply] : channels_) {
@@ -370,43 +343,37 @@ Result<ScriptTickStats> ScriptHost::RunTick(
 
   const uint64_t tick = world_->tick();
   const uint64_t base_seed = options_.interpreter.rng_seed;
+  telemetry::Tracer* tracer = options_.telemetry.tracer;
 
   // --- Query phase (parallel): read-only against tick-start state. -------
-  const uint64_t query_t0 = MonotonicNanos();
-  exec_.pool().ParallelForChunks(
-      entities.size(), [&](size_t chunk, size_t begin, size_t end) {
-        // Shard spans on tid = shard + 1: the fan-out reads as parallel
-        // tracks under the tid-0 sequential timeline in chrome://tracing.
-        const uint64_t shard_t0 = tracing ? MonotonicNanos() : 0;
-        Interpreter& interp = *shards_[chunk];
-        for (size_t i = begin; i < end; ++i) {
-          EntityId e = entities[i];
-          if (!world_->Alive(e)) continue;
-          // Under an armed gate, tell the shard's bindings which entity is
-          // being ticked — set() writes in place only on that entity.
-          if (direct) gate_.current[chunk] = e;
-          // Per-entity random() stream: independent of the partition.
-          interp.rng().Seed(PerEntitySeed(base_seed, tick, e));
-          Result<Value> r = interp.Call(fn, {Value(e)});
-          if (!r.ok()) {
-            ++error_count[chunk];
-            if (first_index[chunk] == kNone) {
-              first_index[chunk] = i;
-              first_status[chunk] = r.status();
+  {
+    telemetry::TraceSpan query_span(tracer, "script.query_phase", 0,
+                                    instruments_.query_phase_ns);
+    exec_.pool().ParallelForChunks(
+        entities.size(), [&](size_t chunk, size_t begin, size_t end) {
+          // Shard spans on tid = shard + 1: the fan-out reads as parallel
+          // tracks under the tid-0 sequential timeline in chrome://tracing.
+          telemetry::TraceSpan shard_span(tracer, "script.shard",
+                                          static_cast<uint32_t>(chunk) + 1);
+          Interpreter& interp = *shards_[chunk];
+          for (size_t i = begin; i < end; ++i) {
+            EntityId e = entities[i];
+            if (!world_->Alive(e)) continue;
+            // Under an armed gate, tell the shard's bindings which entity
+            // is being ticked — set() writes in place only on that entity.
+            if (direct) gate_.current[chunk] = e;
+            // Per-entity random() stream: independent of the partition.
+            interp.rng().Seed(PerEntitySeed(base_seed, tick, e));
+            Result<Value> r = interp.Call(fn, {Value(e)});
+            if (!r.ok()) {
+              ++error_count[chunk];
+              if (first_index[chunk] == kNone) {
+                first_index[chunk] = i;
+                first_status[chunk] = r.status();
+              }
             }
           }
-        }
-        if (tracing) {
-          tracer->RecordSpan("script.shard", shard_t0,
-                             MonotonicNanos() - shard_t0,
-                             static_cast<uint32_t>(chunk) + 1);
-        }
-      });
-
-  stats.query_phase_ns = MonotonicNanos() - query_t0;
-  if (tracing) {
-    tracer->RecordSpan("script.query_phase", query_t0, stats.query_phase_ns,
-                       0);
+        });
   }
   gate_.enabled = false;
   for (size_t i = 0; i < nshards; ++i) {
@@ -429,19 +396,17 @@ Result<ScriptTickStats> ScriptHost::RunTick(
   stats.deferred_ops = deferred_.size();
 
   // --- Apply phase (sequential, deterministic). --------------------------
-  const uint64_t apply_t0 = MonotonicNanos();
-  // 1. Effect channels, in registration order.
-  for (const auto& [name, apply] : channels_) {
-    effects_.Drain(name, apply);
-  }
-  stats.dropped_contributions = effects_.contribution_count();
-  effects_.Clear();
-  // 2. Deferred structural ops, in shard order (== entity order).
-  deferred_.Apply(world_, &stats.deferred_skipped);
-  stats.apply_phase_ns = MonotonicNanos() - apply_t0;
-  if (tracing) {
-    tracer->RecordSpan("script.apply_phase", apply_t0, stats.apply_phase_ns,
-                       0);
+  {
+    telemetry::TraceSpan apply_span(tracer, "script.apply_phase", 0,
+                                    instruments_.apply_phase_ns);
+    // 1. Effect channels, in registration order.
+    for (const auto& [name, apply] : channels_) {
+      effects_.Drain(name, apply);
+    }
+    stats.dropped_contributions = effects_.contribution_count();
+    effects_.Clear();
+    // 2. Deferred structural ops, in shard order (== entity order).
+    deferred_.Apply(world_, &stats.deferred_skipped);
   }
 
   if (instruments_.ticks != nullptr) {
@@ -458,10 +423,6 @@ Result<ScriptTickStats> ScriptHost::RunTick(
     }
     instruments_.direct_writes->Add(stats.direct_writes);
     instruments_.direct_redirected->Add(stats.direct_redirected);
-    instruments_.quiescent_ns->Record(stats.quiescent_ns);
-    instruments_.maintain_ns->Record(stats.maintain_ns);
-    instruments_.query_phase_ns->Record(stats.query_phase_ns);
-    instruments_.apply_phase_ns->Record(stats.apply_phase_ns);
   }
 
   return stats;

@@ -65,18 +65,17 @@ struct ScriptHostOptions {
   /// kOff for the analysis to exist — otherwise every tick falls back.
   MutationPolicy mutations = MutationPolicy::kDefer;
   /// Optional cost-based query planner (planner/planner.h QueryPlanner):
-  /// the query builtins of every shard plan through it, and RunTick calls
-  /// its OnQuiescent() hook before the parallel query phase (the
-  /// sequential point where it refreshes statistics). The hook's Execute
-  /// must be thread-safe — QueryPlanner's is. nullptr keeps the
-  /// hard-coded access paths (PlannerPolicy::kOff equivalent).
+  /// the query builtins of every shard plan through it. Its Execute must
+  /// be thread-safe — QueryPlanner's is. The tick loop refreshes its
+  /// statistics (QueryPlanner::OnQuiescent) at the sequential point before
+  /// RunTick; the host never does. nullptr keeps the hard-coded access
+  /// paths (PlannerPolicy::kOff equivalent).
   QueryPlanHook* planner = nullptr;
-  /// Optional live-view catalog (views/maintainer.h). RunTick calls its
-  /// Maintain() at the sequential point before the parallel query phase —
-  /// change logs flush, memberships update and subscriptions fire there, so
-  /// shards then read a consistent tick-start snapshot of every view. The
-  /// view read builtins (view_count / view_contains / view_members /
-  /// view_aggregate) are bound on every shard interpreter.
+  /// Optional live-view catalog (views/maintainer.h): the view read
+  /// builtins (view_count / view_contains / view_members / view_aggregate)
+  /// are bound on every shard interpreter. The tick loop calls its
+  /// Maintain() at the sequential point before RunTick, so shards read a
+  /// consistent tick-start snapshot of every view; the host never does.
   views::ViewCatalog* views = nullptr;
   /// Static-verifier strictness for Load (analyzer.h Verify): the verifier
   /// checks phase safety (writes/spawn against `mutations`), schema
@@ -93,10 +92,10 @@ struct ScriptHostOptions {
   /// budget enforcement.
   double script_cost_budget = 0.0;
   /// Optional telemetry hook (telemetry/sink.h). When a metrics registry is
-  /// present the host folds its per-tick counters and phase timings into
-  /// `script.*` instruments; when a tracer is present RunTick records the
-  /// tick-phase spans (sequential point, per-shard query phase, apply).
-  /// Both pointers are non-owning and must outlive the host.
+  /// present the host folds its per-tick counters and its query and apply
+  /// timings into `script.*` instruments; when a tracer is present RunTick
+  /// records the query-phase, per-shard and apply spans. Both pointers are
+  /// non-owning and must outlive the host.
   telemetry::TelemetrySink telemetry{};
 };
 
@@ -132,14 +131,6 @@ struct ScriptTickStats {
   /// A tick runs one entry function, so it has at most one fallback reason;
   /// the host's `fallback_reason_counts()` accumulates them across ticks.
   std::string fallback_reason;
-  /// Tick-phase wall-clock breakdown (steady_clock nanoseconds), the
-  /// instrumentation the scenario load harness (tools/loadgen) aggregates
-  /// into per-phase latency histograms. Timing only — never feeds back into
-  /// execution, so determinism contracts are unaffected.
-  uint64_t quiescent_ns = 0;    ///< planner OnQuiescent (stats refresh)
-  uint64_t maintain_ns = 0;     ///< ViewCatalog::Maintain + subscriptions
-  uint64_t query_phase_ns = 0;  ///< parallel script fan-out + join
-  uint64_t apply_phase_ns = 0;  ///< channel drains + deferred-op replay
 };
 
 /// Parallel scripted query phase over a World. See file comment.
@@ -149,6 +140,8 @@ struct ScriptTickStats {
 ///   host.OnChannel("damage", [&](EntityId e, double v) { ... });
 ///   host.Load(source);
 ///   each frame: world.AdvanceTick();
+///               planner.OnQuiescent();  // when options.planner is set
+///               catalog.Maintain();     // when options.views is set
 ///               host.RunTickOver("tick", "ScriptRef");
 class ScriptHost {
  public:
@@ -258,8 +251,6 @@ class ScriptHost {
     telemetry::Counter* fallback_ticks = nullptr;
     telemetry::Counter* direct_writes = nullptr;
     telemetry::Counter* direct_redirected = nullptr;
-    telemetry::Histogram* quiescent_ns = nullptr;
-    telemetry::Histogram* maintain_ns = nullptr;
     telemetry::Histogram* query_phase_ns = nullptr;
     telemetry::Histogram* apply_phase_ns = nullptr;
   };

@@ -1,5 +1,7 @@
 #include "script/parser.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "script/lexer.h"
 
@@ -53,7 +55,29 @@ class Parser {
                                 ", got " + TokenTypeName(Peek().type));
   }
 
+  /// One nesting level below the current one (see kMaxAstDepth), left when
+  /// the guard goes out of scope.
+  struct Level {
+    explicit Level(int* d) : depth(d) { ++*depth; }
+    ~Level() { --*depth; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+    int* depth;
+  };
+  Status CheckDepth(int depth) const {
+    if (depth <= kMaxAstDepth) return Status::OK();
+    return Err(Peek().line,
+               StringFormat("nesting deeper than %d levels", kMaxAstDepth));
+  }
+  /// Height of the expression tree under `e`; a leaf is 1.
+  static int Height(const Expr& e) {
+    int height = 0;
+    for (const auto& arg : e.args) height = std::max(height, Height(*arg));
+    return height + 1;
+  }
+
   Result<std::unique_ptr<Stmt>> ParseDecl() {
+    Level level(&depth_);
     bool is_fn = Match(TokenType::kFn);
     if (!is_fn) GAMEDB_RETURN_NOT_OK(Expect(TokenType::kOn));
     auto stmt = std::make_unique<Stmt>();
@@ -89,6 +113,8 @@ class Parser {
   }
 
   Result<std::unique_ptr<Stmt>> ParseStmt() {
+    Level level(&depth_);
+    GAMEDB_RETURN_NOT_OK(CheckDepth(depth_));
     auto stmt = std::make_unique<Stmt>();
     stmt->line = Peek().line;
     stmt->col = Peek().column;
@@ -160,12 +186,17 @@ class Parser {
     return stmt;
   }
 
-  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseOr(); }
+  Result<std::unique_ptr<Expr>> ParseExpr() {
+    Level level(&depth_);
+    GAMEDB_RETURN_NOT_OK(CheckDepth(depth_));
+    return ParseOr();
+  }
 
   Result<std::unique_ptr<Expr>> ParseBinaryChain(
       Result<std::unique_ptr<Expr>> (Parser::*next)(),
       std::initializer_list<TokenType> ops) {
     GAMEDB_ASSIGN_OR_RETURN(auto lhs, (this->*next)());
+    int height = 0;  // of `lhs`, once an operator wraps it
     while (true) {
       bool matched = false;
       for (TokenType op : ops) {
@@ -175,7 +206,17 @@ class Parser {
           node->line = Prev().line;
           node->col = Prev().column;
           node->op = op;
-          GAMEDB_ASSIGN_OR_RETURN(auto rhs, (this->*next)());
+          std::unique_ptr<Expr> rhs;
+          {
+            Level level(&depth_);
+            GAMEDB_RETURN_NOT_OK(CheckDepth(depth_));
+            GAMEDB_ASSIGN_OR_RETURN(rhs, (this->*next)());
+          }
+          // Each operator pushes the chain's earlier operands one level
+          // deeper.
+          if (height == 0) height = Height(*lhs);
+          height = std::max(height, Height(*rhs)) + 1;
+          GAMEDB_RETURN_NOT_OK(CheckDepth(depth_ + height - 1));
           node->args.push_back(std::move(lhs));
           node->args.push_back(std::move(rhs));
           lhs = std::move(node);
@@ -219,6 +260,8 @@ class Parser {
       node->line = Prev().line;
       node->col = Prev().column;
       node->op = Prev().type;
+      Level level(&depth_);
+      GAMEDB_RETURN_NOT_OK(CheckDepth(depth_));
       GAMEDB_ASSIGN_OR_RETURN(auto operand, ParseUnary());
       node->args.push_back(std::move(operand));
       return node;
@@ -293,6 +336,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Depth of the node being parsed (see kMaxAstDepth).
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -30,6 +30,17 @@
 
 namespace gamedb::script {
 
+/// Deepest nesting Parse accepts: a node at depth `kMaxAstDepth` parses, one
+/// level deeper is a ParseError. A top-level declaration or statement is at
+/// depth 1; a block's statements and a statement's expressions sit one
+/// level below it, and an operand, call argument or list item one level
+/// below its operator, call or list. A parenthesised group counts as a
+/// level too, and a chain of binary operators nests as its left-deep tree
+/// does. So the bound holds for the AST depth that the verifier and the
+/// interpreter recurse over, and for the parser's own recursion, on
+/// hostile input.
+inline constexpr int kMaxAstDepth = 256;
+
 /// Parses `source` into a Script named `name`. Errors carry line numbers.
 Result<Script> Parse(std::string_view source, std::string name = "<script>");
 

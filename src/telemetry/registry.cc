@@ -34,6 +34,19 @@ uint64_t Histogram::Percentile(double p) const {
   return hi;
 }
 
+HistogramSummary Histogram::Summarize(std::string name) const {
+  HistogramSummary s;
+  s.name = std::move(name);
+  s.count = count();
+  s.min = min();
+  s.max = max();
+  s.mean = mean();
+  s.p50 = Percentile(50.0);
+  s.p99 = Percentile(99.0);
+  s.p999 = Percentile(99.9);
+  return s;
+}
+
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -89,18 +102,7 @@ std::vector<HistogramSummary> MetricsRegistry::HistogramValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<HistogramSummary> out;
   out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSummary s;
-    s.name = name;
-    s.count = h->count();
-    s.min = h->min();
-    s.max = h->max();
-    s.mean = h->mean();
-    s.p50 = h->Percentile(50.0);
-    s.p99 = h->Percentile(99.0);
-    s.p999 = h->Percentile(99.9);
-    out.push_back(std::move(s));
-  }
+  for (const auto& [name, h] : histograms_) out.push_back(h->Summarize(name));
   return out;
 }
 

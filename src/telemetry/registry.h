@@ -7,8 +7,7 @@
 /// Design constraints, in order:
 ///   1. Near-zero cost when telemetry is off. Every instrument holds a
 ///      pointer to its registry's enabled flag; a disabled Add() is one
-///      relaxed load and a branch. A compile-time kill-switch
-///      (-DGAMEDB_TELEMETRY_DISABLED) removes even that.
+///      relaxed load and a branch.
 ///   2. Lock-free recording. Instruments are plain relaxed atomics; the
 ///      registry mutex is only taken on FindOrCreate (cold: subsystems
 ///      cache the returned pointers at construction) and on snapshot.
@@ -35,22 +34,12 @@
 
 namespace gamedb::telemetry {
 
-/// Compile-time kill-switch: with -DGAMEDB_TELEMETRY_DISABLED every record
-/// call compiles to nothing (the instruments still exist so call sites need
-/// no #ifdefs).
-#ifdef GAMEDB_TELEMETRY_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 class MetricsRegistry;
 
 /// Monotonically increasing event count.
 class Counter {
  public:
   void Add(uint64_t n) {
-    if (!kCompiledIn) return;
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -68,12 +57,10 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) {
-    if (!kCompiledIn) return;
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.store(v, std::memory_order_relaxed);
   }
   void Add(int64_t delta) {
-    if (!kCompiledIn) return;
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
@@ -84,6 +71,18 @@ class Gauge {
   explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
   const std::atomic<bool>* enabled_;
   std::atomic<int64_t> value_{0};
+};
+
+/// Point-in-time summary of one histogram, as exported in the snapshot.
+struct HistogramSummary {
+  std::string name;
+  uint64_t count = 0;
+  uint64_t min = 0;
+  uint64_t max = 0;
+  double mean = 0.0;
+  uint64_t p50 = 0;
+  uint64_t p99 = 0;
+  uint64_t p999 = 0;
 };
 
 /// Lock-free log-linear histogram sharing LatencyHistogram's exact bucket
@@ -98,7 +97,6 @@ class Histogram {
   static constexpr int kBuckets = LatencyHistogram::kBuckets;
 
   void Record(uint64_t v) {
-    if (!kCompiledIn) return;
     if (!enabled_->load(std::memory_order_relaxed)) return;
     buckets_[static_cast<size_t>(LatencyHistogram::BucketFor(v))].fetch_add(
         1, std::memory_order_relaxed);
@@ -130,6 +128,9 @@ class Histogram {
   /// LatencyHistogram::Percentile. 0 when empty.
   uint64_t Percentile(double p) const;
 
+  /// Count, min, max, mean and p50/p99/p999 under `name`.
+  HistogramSummary Summarize(std::string name) const;
+
  private:
   friend class MetricsRegistry;
   explicit Histogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
@@ -139,18 +140,6 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
-};
-
-/// Point-in-time summary of one histogram, as exported in the snapshot.
-struct HistogramSummary {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  double mean = 0.0;
-  uint64_t p50 = 0;
-  uint64_t p99 = 0;
-  uint64_t p999 = 0;
 };
 
 /// Owns named instruments. Find-or-create is mutex-guarded (cold path);
@@ -164,7 +153,7 @@ class MetricsRegistry {
   /// Runtime kill-switch. Disabled (the default) means every instrument of
   /// this registry records nothing — values are frozen where they were.
   void SetEnabled(bool on) {
-    enabled_.store(on && kCompiledIn, std::memory_order_relaxed);
+    enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 

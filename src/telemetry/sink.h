@@ -5,8 +5,8 @@
 /// pointers are optional and non-owning — the caller (loadgen's Driver, a
 /// game server) owns the registry/tracer/recorder/watchdog and must keep
 /// them alive for the subsystem's lifetime. A default-constructed sink is
-/// inert: every instrument lookup is skipped and spans cost one null
-/// check.
+/// inert: every instrument lookup is skipped and spans cost a few null
+/// checks.
 ///
 /// `recorder` and `watchdog` are the continuous-observability pair:
 /// subsystems never call them directly — only the sequential point of the

@@ -93,7 +93,6 @@ void FlightRecorder::Push(const std::string& name, SeriesKind kind,
 }
 
 void FlightRecorder::Sample(uint64_t tick) {
-  if (!kCompiledIn) return;
   if (!enabled_.load(std::memory_order_relaxed)) return;
   if (registry_ == nullptr) return;
   // Instrument values are read through the same relaxed atomics the hot

@@ -1,11 +1,13 @@
 #pragma once
 
 /// \file trace.h
-/// Tick-phase span tracing. Subsystems record complete ("ph":"X") spans —
-/// the sequential point, view maintenance, the per-shard parallel script
-/// phase, apply/drain, WAL append/fsync, checkpoint, sync emission — and
-/// RenderChromeTraceJson exports them as Chrome trace_event JSON that loads
-/// directly in chrome://tracing (or Perfetto).
+/// Tick-phase span tracing. The tick loop records one complete ("ph":"X")
+/// span per tick phase, and subsystems record the spans nested inside
+/// them — the per-shard parallel script phase, apply/drain, WAL
+/// append/fsync, checkpoint. RenderChromeTraceJson exports them as Chrome
+/// trace_event JSON that loads directly in chrome://tracing (or Perfetto).
+/// A TraceSpan is also the one way a phase is timed: the same measurement
+/// can feed a registry histogram and a per-tick total.
 ///
 /// Track (tid) convention: 0 is the main/sequential thread; parallel script
 /// shards record on tid = shard index + 1 so the fan-out is visible as
@@ -23,6 +25,7 @@
 
 #include "common/percentile.h"
 #include "common/status.h"
+#include "telemetry/registry.h"
 
 namespace gamedb::telemetry {
 
@@ -73,27 +76,40 @@ class Tracer {
 };
 
 /// RAII span: stamps the start on construction, records on destruction.
-/// A null or disabled tracer makes both ends near-free (no timestamp taken).
+/// Besides the tracer, a span has two optional targets: `histogram` gets
+/// the duration as one sample (a tick phase's `<phase>_ns`), and `total`
+/// has the duration added to it (what a tick sums to find the time its
+/// phases leave over). The span takes timestamps only when an enabled
+/// tracer or a histogram is wired; otherwise both ends are near-free and
+/// `total` is left alone.
 class TraceSpan {
  public:
-  TraceSpan(Tracer* tracer, const char* name, uint32_t tid = 0)
+  TraceSpan(Tracer* tracer, const char* name, uint32_t tid = 0,
+            Histogram* histogram = nullptr, uint64_t* total = nullptr)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+        histogram_(histogram),
+        total_(total),
         name_(name),
         tid_(tid),
-        start_ns_(tracer_ != nullptr ? MonotonicNanos() : 0) {}
+        start_ns_(timed() ? MonotonicNanos() : 0) {}
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   ~TraceSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->RecordSpan(name_, start_ns_, MonotonicNanos() - start_ns_,
-                          tid_);
-    }
+    if (!timed()) return;
+    const uint64_t dur_ns = MonotonicNanos() - start_ns_;
+    if (tracer_ != nullptr) tracer_->RecordSpan(name_, start_ns_, dur_ns, tid_);
+    if (histogram_ != nullptr) histogram_->Record(dur_ns);
+    if (total_ != nullptr) *total_ += dur_ns;
   }
 
  private:
+  bool timed() const { return tracer_ != nullptr || histogram_ != nullptr; }
+
   Tracer* tracer_;
+  Histogram* histogram_;
+  uint64_t* total_;
   const char* name_;
   uint32_t tid_;
   uint64_t start_ns_;

@@ -3,7 +3,7 @@
 /// \file watchdog.h
 /// Declarative engine-health rules over the flight recorder's time series,
 /// evaluated at the sequential point of every tick. A rule names a recorder
-/// series (timeseries.h naming: "script.ticks", "loadgen.tick_ns:p99", ...),
+/// series (timeseries.h naming: "script.ticks", "tick_ns:p99", ...),
 /// an aggregation over the last N ticks, a threshold, and a severity; a
 /// tripped rule is the signal that makes loadgen dump a
 /// `gamedb.flightrec.v1` diagnostic bundle (bundle.h) — and, per the
@@ -60,7 +60,7 @@ struct HealthRule {
 ///
 /// AGG in {last,mean,min,max,sum}; OP in {gt,lt}; SEVERITY in
 /// {info,warning,critical} (default warning); FOR/CLEAR default 1.
-/// Example: "tick_p99,loadgen.tick_ns:p99,last,1,gt,5000000,critical".
+/// Example: "tick_p99,tick_ns:p99,last,1,gt,5000000,critical".
 Result<HealthRule> ParseHealthRule(const std::string& spec);
 
 /// Live evaluation state of one rule.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/percentile.h"
 
 namespace gamedb::views {
 
@@ -86,18 +85,14 @@ bool ViewCatalog::Unregister(const std::string& name) {
 }
 
 void ViewCatalog::SetTelemetry(const telemetry::TelemetrySink& sink) {
-  telemetry_ = sink;
   if (sink.metrics != nullptr) {
     m_rounds_ = sink.metrics->GetCounter("views.rounds");
     m_tables_flushed_ = sink.metrics->GetCounter("views.tables_flushed");
     m_change_records_ = sink.metrics->GetCounter("views.change_records");
-    m_round_ns_ = sink.metrics->GetHistogram("views.maintain_round_ns");
   }
 }
 
 void ViewCatalog::Maintain() {
-  telemetry::TraceSpan span(telemetry_.tracer, "views.maintain_round");
-  const uint64_t t0 = MonotonicNanos();
   const uint64_t changes_before = stats_.change_records;
   const uint64_t flushed_before = stats_.tables_flushed;
   ++stats_.rounds;
@@ -119,14 +114,10 @@ void ViewCatalog::Maintain() {
     }
   }
   for (auto& v : views_) v->ApplyCandidates();
-  stats_.last_round_changes = stats_.change_records - changes_before;
-  stats_.last_round_ns = MonotonicNanos() - t0;
-  stats_.maintain_ns += stats_.last_round_ns;
   if (m_rounds_ != nullptr) {
     m_rounds_->Increment();
     m_tables_flushed_->Add(stats_.tables_flushed - flushed_before);
-    m_change_records_->Add(stats_.last_round_changes);
-    m_round_ns_->Record(stats_.last_round_ns);
+    m_change_records_->Add(stats_.change_records - changes_before);
   }
 }
 

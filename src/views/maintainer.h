@@ -4,9 +4,9 @@
 /// ViewCatalog: owns a World's LiveViews and drives their incremental
 /// maintenance from change capture.
 ///
-/// Flow per quiescent point (ViewCatalog::Maintain — the ScriptHost calls
-/// it before each parallel query phase when wired via
-/// ScriptHostOptions::views):
+/// Flow per quiescent point (ViewCatalog::Maintain — the tick loop calls it
+/// at the sequential point before each parallel script phase and before
+/// each interest-view sync; neither ScriptHost nor SyncServer calls it):
 ///   1. every captured dependency table flushes its change ring once into
 ///      a shared net ChangeSet (core/change_log.h);
 ///   2. each changed entity is marked as a re-evaluation candidate on every
@@ -40,19 +40,12 @@ struct CatalogStats {
   uint64_t rounds = 0;          ///< Maintain() calls
   uint64_t tables_flushed = 0;  ///< flushes that carried any net change
   uint64_t change_records = 0;  ///< net change records routed to views
-  /// Per-maintain cost counters (scenario-harness breakdown): cumulative
-  /// wall time (ns) across all Maintain() rounds, plus what the most
-  /// recent round did — so a driver can attribute a latency spike to "this
-  /// tick flushed 40k deltas", not just "views were slow".
-  uint64_t maintain_ns = 0;
-  uint64_t last_round_ns = 0;
-  uint64_t last_round_changes = 0;
 };
 
 /// Registry + maintainer of LiveViews over one World. Sequential-phase
 /// object: Register/Maintain must not run concurrently with each other or
-/// with view reads (the ScriptHost wiring calls Maintain from its
-/// sequential point, which is exactly that discipline).
+/// with view reads (the tick loop calls Maintain from its sequential
+/// point, which is exactly that discipline).
 class ViewCatalog {
  public:
   /// `planner` (a planner/planner.h QueryPlanner, or null for the built-in
@@ -105,9 +98,9 @@ class ViewCatalog {
   QueryPlanHook* planner() const { return planner_; }
 
   /// Attaches a telemetry sink: Maintain() folds its round/flush/change
-  /// counters into `views.*` registry instruments and records a
-  /// "views.maintain_round" span per round. Non-owning; the sink's
-  /// registry/tracer must outlive the catalog. Call from sequential code.
+  /// counters into `views.*` registry instruments. (The tick loop times
+  /// each round as its own phase.) Non-owning; the sink's registry must
+  /// outlive the catalog. Call from sequential code.
   void SetTelemetry(const telemetry::TelemetrySink& sink);
 
  private:
@@ -123,12 +116,10 @@ class ViewCatalog {
   std::unordered_set<uint32_t> captured_set_;
   ChangeSet scratch_;
   CatalogStats stats_;
-  telemetry::TelemetrySink telemetry_;
   /// Cached registry instruments (all nullptr until SetTelemetry).
   telemetry::Counter* m_rounds_ = nullptr;
   telemetry::Counter* m_tables_flushed_ = nullptr;
   telemetry::Counter* m_change_records_ = nullptr;
-  telemetry::Histogram* m_round_ns_ = nullptr;
 };
 
 }  // namespace gamedb::views

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "common/percentile.h"
-
 namespace gamedb::views {
 
 const char* AggKindName(AggKind k) {
@@ -318,11 +316,9 @@ void LiveView::MarkCandidate(EntityId e) {
 
 void LiveView::ApplyCandidates() {
   if (candidates_.empty()) return;
-  const uint64_t t0 = MonotonicNanos();
   for (EntityId e : candidates_) Reevaluate(e);
   candidates_.clear();
   candidate_set_.clear();
-  stats_.maintain_ns += MonotonicNanos() - t0;
 }
 
 void LiveView::Reevaluate(EntityId e) {
@@ -376,7 +372,6 @@ void LiveView::Update(EntityId e) {
 }
 
 Status LiveView::Repopulate() {
-  const uint64_t t0 = MonotonicNanos();
   std::vector<EntityId> fresh;
   GAMEDB_RETURN_NOT_OK(RunQuery(&fresh));
   ++stats_.repopulations;
@@ -414,7 +409,6 @@ Status LiveView::Repopulate() {
   sorted_driver_ = driver;
   sorted_driver_version_ = driver != nullptr ? driver->last_version() : 0;
   sorted_dirty_ = driver == nullptr;
-  stats_.maintain_ns += MonotonicNanos() - t0;
   return Status::OK();
 }
 

@@ -100,11 +100,6 @@ struct ViewStats {
   uint64_t exits = 0;          ///< membership removals
   uint64_t updates = 0;        ///< in-membership value changes
   uint64_t repopulations = 0;  ///< full planner (re)populations
-  /// Cumulative wall time (ns) this view spent in maintenance work:
-  /// candidate re-evaluation plus planner (re)populations, including
-  /// Recenter. Cost attribution for the scenario harness's per-maintain
-  /// breakdown; timing only, never feeds back into maintenance decisions.
-  uint64_t maintain_ns = 0;
 };
 
 class ViewCatalog;

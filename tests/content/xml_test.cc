@@ -11,6 +11,14 @@ std::unique_ptr<XmlNode> MustParse(std::string_view src) {
   return std::move(r).value();
 }
 
+/// `depth` nested <a> elements.
+std::string Nested(int depth) {
+  std::string doc;
+  for (int i = 0; i < depth; ++i) doc += "<a>";
+  for (int i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
 TEST(XmlTest, SimpleElement) {
   auto root = MustParse("<Root/>");
   EXPECT_EQ(root->name, "Root");
@@ -91,6 +99,22 @@ TEST(XmlTest, ErrorsCarryLineNumbers) {
   auto r = ParseXml("<A>\n  <B>\n</A>");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line 3"), std::string::npos);
+}
+
+// Nesting is bounded (kMaxXmlDepth): the root is at depth 1, the limit
+// itself parses, and hostile depth is a ParseError, not a stack overflow.
+TEST(XmlTest, NestingDepthIsBounded) {
+  auto root = MustParse(Nested(kMaxXmlDepth));
+  int depth = 1;
+  for (const XmlNode* n = root.get(); !n->children.empty();
+       n = n->children[0].get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxXmlDepth);
+  EXPECT_TRUE(ParseXml(Nested(kMaxXmlDepth + 1)).status().IsParseError());
+  auto hostile = ParseXml(Nested(100000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_TRUE(hostile.status().IsParseError()) << hostile.status().ToString();
 }
 
 }  // namespace

@@ -32,11 +32,13 @@ ScenarioReport SampleReport(bool collect_timing) {
   r.client_ticks = 60;
   r.sync_bytes_per_client_tick = 1234.0 / 60.0;
   if (collect_timing) {
-    r.tick = {10, 100, 200, 300, 400, 150.0};
-    r.script_phase = r.tick;
-    r.view_maintain = r.tick;
-    r.sync_phase = r.tick;
-    r.persist_phase = r.tick;
+    r.tick = {"tick_ns", 10, 90, 400, 150.0, 100, 200, 300};
+    for (const char* phase : kTickPhases) {
+      r.phases.push_back(r.tick);
+      r.phases.back().name = std::string(phase) + "_ns";
+    }
+    r.phases.push_back(r.tick);
+    r.phases.back().name = "tick.unattributed_ns";
     r.slo_evaluated = true;
     r.slo_detail = "ok";
   }

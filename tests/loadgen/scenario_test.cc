@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "loadgen/metrics.h"
 #include "loadgen/scenario.h"
 
@@ -180,6 +181,46 @@ TEST(ScenarioSloTest, StructuredChecksNameEveryGateWithEvidence) {
   EXPECT_EQ(p99.name, "tick_p99");
   EXPECT_FALSE(p99.violated);
   EXPECT_NE(p99.ToString().find("[ok]"), std::string::npos);
+}
+
+// A timed run reads its timing section from the registry: the tick, each
+// phase timed once per tick in tick order, and what the phases leave over.
+// Both view-maintenance rounds run every tick, outside the script and sync
+// phases.
+TEST(ScenarioTimingTest, PhasesCoverTheTick) {
+  ScenarioConfig cfg = TestConfig("steady_state");
+  cfg.collect_timing = true;
+  ScenarioReport r = MustRun(cfg);
+
+  Result<json::JsonValue> doc = json::ParseJson(RenderReportJson(r));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const json::JsonValue* timing = doc->Find("timing");
+  ASSERT_NE(timing, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : timing->members) {
+    if (key != "slo") keys.push_back(key);
+  }
+  const std::vector<std::string> expected = {
+      "tick_ns",
+      "core.mutate_ns",
+      "planner.refresh_ns",
+      "views.maintain_pre_script_ns",
+      "script.run_tick_ns",
+      "persist.on_event_ns",
+      "views.maintain_pre_sync_ns",
+      "replication.sync_ns",
+      "persist.tick_end_ns",
+      "tick.unattributed_ns",
+  };
+  EXPECT_EQ(keys, expected);
+
+  EXPECT_EQ(r.tick.count, cfg.ticks);
+  for (const telemetry::HistogramSummary& phase : r.phases) {
+    EXPECT_EQ(phase.count, cfg.ticks) << phase.name;
+  }
+  ASSERT_EQ(r.phases.back().name, "tick.unattributed_ns");
+  EXPECT_LE(r.phases.back().mean, 0.05 * r.tick.mean);
+  EXPECT_EQ(r.view_rounds, 2 * cfg.ticks);
 }
 
 TEST(ScenarioSloTest, ReplayModeSkipsSloEvaluation) {

@@ -412,6 +412,7 @@ fn tick(e) {
     EXPECT_TRUE(host.Load(kScript).ok());
     for (int t = 0; t < 5; ++t) {
       w.AdvanceTick();
+      if (use_planner) planner.OnQuiescent();
       auto stats = host.RunTickOver("tick", "Health");
       EXPECT_TRUE(stats.ok());
       EXPECT_EQ(stats->script_errors, 0u) << stats->first_error.ToString();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "planner/planner.h"
 #include "replication/divergence.h"
@@ -187,6 +189,7 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
       }
     }
     ASSERT_TRUE(scan_sync.SyncAll(&stats).ok());
+    catalog.Maintain();  // the tick loop's pre-sync round
     ASSERT_TRUE(view_sync.SyncAll(&stats).ok());
 
     // Same replicated rows, same values, tick for tick.
@@ -206,6 +209,56 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
   }
 }
 
+// The same equivalence with the avatar standing still: the interest view is
+// never recentered, so only the catalog's maintenance round before each
+// sync can move entities in and out of it as they cross the radius.
+TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
+  Rng rng(7);
+  SyncOptions scan_opts;
+  scan_opts.strategy = SyncStrategy::kInterest;
+  scan_opts.interest_radius = 25.0f;
+  SyncServer scan_sync(&server, scan_opts);
+  scan_sync.AddClient(ids[0]);
+
+  planner::QueryPlanner planner(&server);
+  views::ViewCatalog catalog(&server, &planner);
+  SyncOptions view_opts = scan_opts;
+  view_opts.strategy = SyncStrategy::kInterestView;
+  view_opts.view_catalog = &catalog;
+  SyncServer view_sync(&server, view_opts);
+  view_sync.AddClient(ids[0]);
+
+  std::vector<SyncStats> scan_stats, view_stats;
+  size_t crossings = 0;
+  for (int tick = 0; tick < 16; ++tick) {
+    server.AdvanceTick();
+    for (size_t i = 1; i < ids.size(); ++i) {
+      server.Patch<Position>(ids[i], [&](Position& p) {
+        const bool inside = p.value.x <= 25.0f;
+        p.value.x = std::max(0.0f, p.value.x + rng.NextFloat(-15, 15));
+        crossings += inside != (p.value.x <= 25.0f) ? 1 : 0;
+      });
+    }
+    ASSERT_TRUE(scan_sync.SyncAll(&scan_stats).ok());
+    catalog.Maintain();
+    ASSERT_TRUE(view_sync.SyncAll(&view_stats).ok());
+
+    EXPECT_EQ(scan_stats[0].rows_sent, view_stats[0].rows_sent)
+        << "tick " << tick;
+    EXPECT_EQ(scan_stats[0].removals_sent, view_stats[0].removals_sent)
+        << "tick " << tick;
+    const World& a = scan_sync.client(0).world();
+    const World& b = view_sync.client(0).world();
+    for (EntityId e : ids) {
+      ASSERT_EQ(a.Has<Position>(e), b.Has<Position>(e)) << "tick " << tick;
+      if (a.Has<Position>(e)) {
+        EXPECT_EQ(a.Get<Position>(e)->value, b.Get<Position>(e)->value);
+      }
+    }
+  }
+  EXPECT_GT(crossings, 0u);  // the radius was actually crossed
+}
+
 // A torn-down kInterestView server must release its catalog views so a
 // successor (shard restart, reconnect) can register cleanly.
 TEST_F(SyncTest, InterestViewServersShareACatalogAcrossRestarts) {
@@ -220,6 +273,7 @@ TEST_F(SyncTest, InterestViewServersShareACatalogAcrossRestarts) {
   {
     SyncServer first(&server, opts);
     first.AddClient(ids[0]);
+    catalog.Maintain();
     ASSERT_TRUE(first.SyncAll(&stats).ok());
     EXPECT_EQ(catalog.view_count(), 1u);
   }
@@ -227,6 +281,7 @@ TEST_F(SyncTest, InterestViewServersShareACatalogAcrossRestarts) {
 
   SyncServer second(&server, opts);
   second.AddClient(ids[0]);  // same client index: name must not collide
+  catalog.Maintain();
   ASSERT_TRUE(second.SyncAll(&stats).ok());
   EXPECT_TRUE(second.client(0).world().Has<Position>(ids[1]));
 }

@@ -70,6 +70,15 @@ TEST(InterpreterTest, ArithmeticAndGlobals) {
   EXPECT_DOUBLE_EQ(in->GetGlobal("z")->AsNumber(), 2.5);
 }
 
+// A tree at the parser's depth limit loads and runs: every walk after the
+// parser (verifier, interpreter) stays within the same bound.
+TEST(InterpreterTest, ScriptAtTheDepthLimitRuns) {
+  std::string src = "let x = 1";
+  for (int i = 0; i < kMaxAstDepth - 2; ++i) src += " + 1";
+  auto in = Boot(src);
+  EXPECT_DOUBLE_EQ(in->GetGlobal("x")->AsNumber(), kMaxAstDepth - 1);
+}
+
 TEST(InterpreterTest, StringConcatAndComparison) {
   auto in = Boot(
       "let s = \"a\" + 1 + \"b\"\n"

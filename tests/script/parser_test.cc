@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace gamedb::script {
 namespace {
 
@@ -9,6 +11,13 @@ Script MustParse(std::string_view src) {
   auto r = Parse(src);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
+}
+
+std::string Repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
 }
 
 TEST(ParserTest, TopLevelStatements) {
@@ -114,6 +123,37 @@ TEST(ParserTest, UnterminatedBlockFails) {
 TEST(ParserTest, MissingParenFails) {
   EXPECT_FALSE(Parse("let x = (1 + 2").ok());
   EXPECT_FALSE(Parse("print(1, 2").ok());
+}
+
+// Hostile nesting is a ParseError (kMaxAstDepth), not a stack overflow in
+// the parser or in a later walk of the tree — a long binary chain parses
+// iteratively but builds a deep tree, so it counts too.
+TEST(ParserDepthTest, HostileNestingIsAParseError) {
+  constexpr int kDeep = 100000;
+  const std::string inputs[] = {
+      "let x = " + Repeat("(", kDeep) + "1" + Repeat(")", kDeep),
+      "let x = " + Repeat("- ", kDeep) + "1",
+      Repeat("if true { ", kDeep) + Repeat("}", kDeep),
+      "if false {}" + Repeat(" else if false {}", kDeep),
+      "let x = 1" + Repeat(" + 1", kDeep),
+  };
+  for (const std::string& src : inputs) {
+    auto r = Parse(src);
+    ASSERT_FALSE(r.ok()) << src.substr(0, 40);
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  }
+}
+
+// The limit is exact. An expression statement is at depth 1 and its
+// expression's root at depth 2: N unary operators put the literal at depth
+// N + 2, and a chain of N terms puts its first term at depth N + 1.
+TEST(ParserDepthTest, NodeAtTheLimitParses) {
+  EXPECT_TRUE(Parse(Repeat("- ", kMaxAstDepth - 2) + "1").ok());
+  EXPECT_TRUE(
+      Parse(Repeat("- ", kMaxAstDepth - 1) + "1").status().IsParseError());
+  EXPECT_TRUE(Parse("1" + Repeat(" + 1", kMaxAstDepth - 2)).ok());
+  EXPECT_TRUE(
+      Parse("1" + Repeat(" + 1", kMaxAstDepth - 1)).status().IsParseError());
 }
 
 }  // namespace

@@ -167,6 +167,8 @@ TEST_F(ViewChurnStressTest, ParallelPhaseViewReadsAreRaceFree) {
 
   for (int tick = 1; tick <= 15; ++tick) {
     world.AdvanceTick();
+    planner.OnQuiescent();
+    catalog.Maintain();
     auto stats = host.RunTickOver("tick", "Health");
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     ASSERT_EQ(stats->script_errors, 0u) << stats->first_error.ToString();

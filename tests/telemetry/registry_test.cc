@@ -254,12 +254,5 @@ TEST(TelemetryJsonTest, ValidatorRejectsGarbage) {
   EXPECT_FALSE(ValidateTelemetryJson("").ok());
 }
 
-// The build in this repo compiles telemetry in; the macro kill-switch is
-// covered by the compile flag itself, but pin the constant so a CMake
-// change that silently defines GAMEDB_TELEMETRY_DISABLED fails loudly.
-TEST(RegistryTest, TelemetryIsCompiledInByDefault) {
-  EXPECT_TRUE(kCompiledIn);
-}
-
 }  // namespace
 }  // namespace gamedb::telemetry

@@ -42,6 +42,28 @@ TEST(TracerTest, SpanRecordsNameAndTid) {
   EXPECT_GE(events[1].ts_ns, events[0].ts_ns);
 }
 
+// A phase span's optional targets: its histogram gets one sample per span
+// and its total gets the same duration, with or without a tracer. With
+// neither tracer nor histogram no clock is read and the total stays put.
+TEST(TracerTest, SpanFeedsHistogramAndTotal) {
+  MetricsRegistry registry;
+  registry.SetEnabled(true);
+  Histogram* hist = registry.GetHistogram("phase_ns");
+  Tracer tracer;
+  tracer.SetEnabled(true);
+  uint64_t total = 0;
+  { TraceSpan span(nullptr, "phase", 0, hist, &total); }
+  { TraceSpan span(&tracer, "phase", 0, hist, &total); }
+  EXPECT_EQ(hist->count(), 2u);
+  EXPECT_EQ(tracer.size(), 1u);
+  // One measurement feeds both targets: the total is the histogram's sum.
+  EXPECT_EQ(static_cast<uint64_t>(hist->mean() * 2), total);
+
+  uint64_t untimed = 7;
+  { TraceSpan span(nullptr, "phase", 0, nullptr, &untimed); }
+  EXPECT_EQ(untimed, 7u);
+}
+
 TEST(TracerTest, DisableMidRunStopsRecording) {
   Tracer tracer;
   tracer.SetEnabled(true);

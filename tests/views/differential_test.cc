@@ -325,7 +325,8 @@ TEST(DifferentialCrossTest, PlannerOnAndOffSeeIdenticalViews) {
 }
 
 // The scripted path: deferred mutations from a parallel query phase, views
-// maintained at the host's sequential point. 1 and 4 threads (acceptance).
+// maintained at the tick's sequential point, before the host runs. 1 and 4
+// threads (acceptance).
 class HostDifferentialTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(HostDifferentialTest, ScriptedStormStaysBitIdentical) {
@@ -357,6 +358,8 @@ TEST_P(HostDifferentialTest, ScriptedStormStaysBitIdentical) {
 
   for (int tick = 1; tick <= 100; ++tick) {
     h.world().AdvanceTick();
+    h.planner().OnQuiescent();
+    h.catalog().Maintain();
     auto stats = host.RunTickOver("tick", "Health");
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->script_errors, 0u) << stats->first_error.ToString();

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/crc32.h"
-#include "common/percentile.h"
 #include "core/serialize.h"
 #include "loadgen_combat_gsl.h"
 #include "telemetry/sink.h"
@@ -31,17 +30,6 @@ std::string HashHex(uint64_t h) {
 }
 
 }  // namespace
-
-LatencySummary Summarize(const LatencyHistogram& h) {
-  LatencySummary s;
-  s.count = h.count();
-  s.p50_ns = h.Percentile(50.0);
-  s.p99_ns = h.Percentile(99.0);
-  s.p999_ns = h.Percentile(99.9);
-  s.max_ns = h.max();
-  s.mean_ns = h.mean();
-  return s;
-}
 
 static telemetry::TelemetrySink MakeSink(const ScenarioConfig& cfg) {
   telemetry::TelemetrySink sink;
@@ -73,17 +61,23 @@ Driver::~Driver() = default;
 Status Driver::Init() {
   RegisterStandardComponents();
 
-  // Harness-level instruments: the tick-loop latencies and populations the
-  // watchdog's default SLO rules watch (loadgen.tick_ns:p99 etc.). The
+  // Harness-level instruments: the tick timers and the populations. The
   // subsystems feed their own instruments through the sinks below.
-  if (cfg_.metrics != nullptr) {
-    m_tick_ns_ = cfg_.metrics->GetHistogram("loadgen.tick_ns");
-    m_script_ns_ = cfg_.metrics->GetHistogram("loadgen.script_ns");
-    m_sync_ns_ = cfg_.metrics->GetHistogram("loadgen.sync_ns");
-    m_persist_ns_ = cfg_.metrics->GetHistogram("loadgen.persist_ns");
-    m_sync_bytes_ = cfg_.metrics->GetCounter("loadgen.sync_bytes");
-    m_entities_ = cfg_.metrics->GetGauge("loadgen.entities");
-    m_clients_ = cfg_.metrics->GetGauge("loadgen.clients");
+  telemetry::MetricsRegistry* metrics = cfg_.metrics;
+  if (metrics == nullptr && cfg_.collect_timing) {
+    own_metrics_ = std::make_unique<telemetry::MetricsRegistry>();
+    own_metrics_->SetEnabled(true);
+    metrics = own_metrics_.get();
+  }
+  if (metrics != nullptr) {
+    m_tick_ns_ = metrics->GetHistogram("tick_ns");
+    for (size_t i = 0; i < kTickPhaseCount; ++i) {
+      m_phase_ns_[i] = metrics->GetHistogram(std::string(kTickPhases[i]) +
+                                             "_ns");
+    }
+    m_unattributed_ns_ = metrics->GetHistogram("tick.unattributed_ns");
+    m_entities_ = metrics->GetGauge("loadgen.entities");
+    m_clients_ = metrics->GetGauge("loadgen.clients");
   }
   // EXPLAIN ANALYZE needs runtime collection; bundles ask for it via
   // hot_plans_out. Row counting is observational — determinism holds.
@@ -164,81 +158,55 @@ Status Driver::Tick(uint64_t t,
   if (cfg_.trace_last_tick_only && cfg_.tracer != nullptr) {
     cfg_.tracer->Clear();
   }
-  telemetry::TraceSpan tick_span(cfg_.tracer, "tick");
-  const uint64_t tick_t0 = MonotonicNanos();
-  world_.AdvanceTick();
-
-  // 1. Sequential scenario mutations (hostile load shape).
-  step(*this, t);
-
-  // 2. Parallel scripted query phase (planner quiescent hook + view
-  //    maintenance run at its sequential point).
-  auto stats = host_->RunTickOver("tick", "Combat");
-  GAMEDB_RETURN_NOT_OK(stats.status());
-  script_errors_ += stats->script_errors;
-  if (stats->script_errors > 0 && first_script_error_.ok()) {
-    first_script_error_ = stats->first_error;
-  }
-  effect_contributions_ += stats->effect_contributions;
-  deferred_ops_ += stats->deferred_ops;
-
-  // 3. Game events feed the checkpoint policy (and the WAL). The periodic
-  //    autosave mark guarantees a WAL-traffic floor even on an rng stream
-  //    that never rolls an organic event (short runs do hit that).
-  if (t % 10 == 0) {
+  uint64_t tick_ns = 0;
+  uint64_t attributed_ns = 0;
+  // Runs `body` as phase `p`: one span, which also feeds the phase's
+  // histogram and the tick's attributed total.
+  auto phase = [&](TickPhase p, const auto& body) {
+    telemetry::TraceSpan span(cfg_.tracer, kTickPhases[p], 0, m_phase_ns_[p],
+                              &attributed_ns);
+    return body();
+  };
+  script::ScriptTickStats stats;
+  {
+    telemetry::TraceSpan tick_span(cfg_.tracer, "tick", 0, m_tick_ns_,
+                                   &tick_ns);
+    world_.AdvanceTick();
+    phase(kPhaseMutate, [&] { step(*this, t); });
+    phase(kPhasePlannerRefresh, [&] { planner_.OnQuiescent(); });
+    phase(kPhaseMaintainPreScript, [&] { catalog_.Maintain(); });
+    GAMEDB_ASSIGN_OR_RETURN(stats, phase(kPhaseRunTick, [&] {
+                              return host_->RunTickOver("tick", "Combat");
+                            }));
+    GAMEDB_RETURN_NOT_OK(phase(kPhaseOnEvent, [&] { return GameEvents(t); }));
+    // The interest views absorb every move since the last sync here, so the
+    // sync only recenters them.
+    phase(kPhaseMaintainPreSync, [&] { catalog_.Maintain(); });
     GAMEDB_RETURN_NOT_OK(
-        persistence_->OnEvent(world_.tick(), 1.0, "autosave_mark"));
+        phase(kPhaseSync, [&] { return sync_->SyncAll(&sync_scratch_); }));
+    GAMEDB_RETURN_NOT_OK(phase(kPhaseTickEnd, [&] {
+      return persistence_->OnTickEnd(world_).status();
+    }));
   }
-  if (rng_.NextBool(0.02)) {
-    GAMEDB_RETURN_NOT_OK(
-        persistence_->OnEvent(world_.tick(), 50.0, "boss_kill"));
-  } else if (rng_.NextBool(0.2)) {
-    GAMEDB_RETURN_NOT_OK(
-        persistence_->OnEvent(world_.tick(), 1.0, "quest_step"));
+  if (m_unattributed_ns_ != nullptr) {
+    m_unattributed_ns_->Record(tick_ns - attributed_ns);
   }
 
-  // 4. Interest-view client sync (second maintenance round + recenters).
-  const uint64_t sync_t0 = MonotonicNanos();
-  GAMEDB_RETURN_NOT_OK(sync_->SyncAll(&sync_scratch_));
-  const uint64_t sync_ns = MonotonicNanos() - sync_t0;
+  // Report bookkeeping and continuous observability at the sequential
+  // point, outside the timed tick. Nothing here feeds the simulation.
+  script_errors_ += stats.script_errors;
+  if (stats.script_errors > 0 && first_script_error_.ok()) {
+    first_script_error_ = stats.first_error;
+  }
+  effect_contributions_ += stats.effect_contributions;
+  deferred_ops_ += stats.deferred_ops;
   for (const auto& s : sync_scratch_) {
     sync_bytes_ += s.bytes_sent;
     sync_rows_ += s.rows_sent;
     sync_removals_ += s.removals_sent;
   }
   client_ticks_ += sync_->connected_count();
-
-  // 5. Persistence.
-  const uint64_t persist_t0 = MonotonicNanos();
-  GAMEDB_RETURN_NOT_OK(persistence_->OnTickEnd(world_).status());
-  const uint64_t persist_ns = MonotonicNanos() - persist_t0;
-
   CountEntities();
-
-  const uint64_t tick_ns = MonotonicNanos() - tick_t0;
-  if (cfg_.collect_timing) {
-    tick_hist_.Record(tick_ns);
-    script_hist_.Record(stats->query_phase_ns);
-    maintain_hist_.Record(stats->maintain_ns);
-    // The sync round's maintenance (flush + recenter routing) is the
-    // catalog's most recent round.
-    maintain_hist_.Record(catalog_.stats().last_round_ns);
-    sync_hist_.Record(sync_ns);
-    persist_hist_.Record(persist_ns);
-  }
-
-  // 6. Continuous observability at the sequential point: feed the
-  //    harness-level instruments, sample the flight recorder, evaluate the
-  //    watchdog. All observational — nothing here feeds the simulation.
-  if (m_tick_ns_ != nullptr) m_tick_ns_->Record(tick_ns);
-  if (m_script_ns_ != nullptr) m_script_ns_->Record(stats->query_phase_ns);
-  if (m_sync_ns_ != nullptr) m_sync_ns_->Record(sync_ns);
-  if (m_persist_ns_ != nullptr) m_persist_ns_->Record(persist_ns);
-  if (m_sync_bytes_ != nullptr) {
-    uint64_t tick_sync_bytes = 0;
-    for (const auto& s : sync_scratch_) tick_sync_bytes += s.bytes_sent;
-    m_sync_bytes_->Add(tick_sync_bytes);
-  }
   if (m_entities_ != nullptr) {
     m_entities_->Set(static_cast<int64_t>(world_.AliveCount()));
   }
@@ -248,6 +216,23 @@ Status Driver::Tick(uint64_t t,
   for (const std::string& rule : MakeSink(cfg_).TickHeartbeat(t)) {
     std::fprintf(stderr, "loadgen: watchdog TRIPPED at tick %llu: %s\n",
                  static_cast<unsigned long long>(t), rule.c_str());
+  }
+  return Status::OK();
+}
+
+Status Driver::GameEvents(uint64_t t) {
+  // Game events feed the checkpoint policy (and the WAL). The periodic
+  // autosave mark guarantees a WAL-traffic floor even on an rng stream that
+  // never rolls an organic event (short runs do hit that).
+  if (t % 10 == 0) {
+    GAMEDB_RETURN_NOT_OK(
+        persistence_->OnEvent(world_.tick(), 1.0, "autosave_mark"));
+  }
+  if (rng_.NextBool(0.02)) {
+    return persistence_->OnEvent(world_.tick(), 50.0, "boss_kill");
+  }
+  if (rng_.NextBool(0.2)) {
+    return persistence_->OnEvent(world_.tick(), 1.0, "quest_step");
   }
   return Status::OK();
 }
@@ -303,11 +288,12 @@ Result<ScenarioReport> Driver::Finish() {
   }
 
   if (cfg_.collect_timing) {
-    r.tick = Summarize(tick_hist_);
-    r.script_phase = Summarize(script_hist_);
-    r.view_maintain = Summarize(maintain_hist_);
-    r.sync_phase = Summarize(sync_hist_);
-    r.persist_phase = Summarize(persist_hist_);
+    r.tick = m_tick_ns_->Summarize("tick_ns");
+    for (size_t i = 0; i < kTickPhaseCount; ++i) {
+      r.phases.push_back(
+          m_phase_ns_[i]->Summarize(std::string(kTickPhases[i]) + "_ns"));
+    }
+    r.phases.push_back(m_unattributed_ns_->Summarize("tick.unattributed_ns"));
 
     auto check = [&](const char* name, double target_ms, uint64_t got_ns) {
       if (target_ms <= 0.0) return;
@@ -327,9 +313,9 @@ Result<ScenarioReport> Driver::Finish() {
         r.slo_detail += buf;
       }
     };
-    check("tick_p50", cfg_.slo_p50_ms, r.tick.p50_ns);
-    check("tick_p99", cfg_.slo_p99_ms, r.tick.p99_ns);
-    check("tick_p999", cfg_.slo_p999_ms, r.tick.p999_ns);
+    check("tick_p50", cfg_.slo_p50_ms, r.tick.p50);
+    check("tick_p99", cfg_.slo_p99_ms, r.tick.p99);
+    check("tick_p999", cfg_.slo_p999_ms, r.tick.p999);
   }
   return r;
 }

@@ -13,6 +13,7 @@
 /// function of its config — the replay-determinism property the regression
 /// tier asserts. See scenario.h for the public entry points.
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,10 +50,11 @@ class Driver {
   /// monitoring views and spawns the initial population + clients.
   Status Init();
 
-  /// Runs one tick: sequential scenario mutations via `step`, then the
-  /// scripted parallel phase (planner quiescent hook + view maintenance +
-  /// query fan-out + apply), then client sync and persistence. Latency is
-  /// recorded when the config asks for timing.
+  /// Runs one tick: the phases of kTickPhases in order — scenario
+  /// mutations via `step`, planner stats refresh, view maintenance, the
+  /// scripted parallel phase, game events, a second view maintenance,
+  /// client sync and persistence. Each phase is timed once, into the
+  /// registry, when the run has one.
   Status Tick(uint64_t t,
               const std::function<void(Driver&, uint64_t)>& step);
 
@@ -104,6 +106,9 @@ class Driver {
   std::vector<EntityId> scratch;
 
  private:
+  /// The tick's game events (persist.on_event): an autosave mark every 10
+  /// ticks, and rng-rolled boss kills and quest steps.
+  Status GameEvents(uint64_t t);
   void SpawnAvatarComponents(EntityId e);
   void CountEntities();
 
@@ -130,17 +135,13 @@ class Driver {
   uint64_t script_errors_ = 0, effect_contributions_ = 0, deferred_ops_ = 0;
   Status first_script_error_ = Status::OK();
 
-  // Latency accumulators (unused when !cfg_.collect_timing).
-  LatencyHistogram tick_hist_, script_hist_, maintain_hist_, sync_hist_,
-      persist_hist_;
-
-  // Harness-level registry instruments (null without a metrics sink); the
-  // per-tick series the watchdog's default SLO rules are written against.
+  // Tick timers (null when the run is untimed and has no registry): the
+  // series the report's timing section and the watchdog's default SLO
+  // rules read. A timed run given no registry records into its own.
+  std::unique_ptr<telemetry::MetricsRegistry> own_metrics_;
   telemetry::Histogram* m_tick_ns_ = nullptr;
-  telemetry::Histogram* m_script_ns_ = nullptr;
-  telemetry::Histogram* m_sync_ns_ = nullptr;
-  telemetry::Histogram* m_persist_ns_ = nullptr;
-  telemetry::Counter* m_sync_bytes_ = nullptr;
+  std::array<telemetry::Histogram*, kTickPhaseCount> m_phase_ns_{};
+  telemetry::Histogram* m_unattributed_ns_ = nullptr;
   telemetry::Gauge* m_entities_ = nullptr;
   telemetry::Gauge* m_clients_ = nullptr;
 };

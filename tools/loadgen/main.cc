@@ -60,7 +60,9 @@ void PrintUsage() {
                "  --trace=FILE        write a chrome://tracing span trace "
                "(trace_event JSON)\n"
                "  --metrics=FILE      write a gamedb.telemetry.v1 metrics "
-               "snapshot\n"
+               "snapshot (one per\n"
+               "                      scenario on a sweep, named like "
+               "--flightrec bundles)\n"
                "  --flightrec=FILE    arm the flight recorder + watchdog; "
                "dump a gamedb.flightrec.v1\n"
                "                      bundle to FILE on SLO breach, watchdog "
@@ -76,8 +78,8 @@ void PrintUsage() {
                "NAME,METRIC,AGG,WINDOW,\n"
                "                      OP,THRESHOLD[,SEVERITY[,FOR,CLEAR]] — "
                "e.g.\n"
-               "                      stall,loadgen.tick_ns:p99,last,1,gt,"
-               "5e6,critical\n");
+               "                      stall,tick_ns:p99,last,1,gt,5e6,"
+               "critical\n");
 }
 
 bool ParseUint(const std::string& v, uint64_t* out) {
@@ -98,7 +100,8 @@ struct CliOptions {
   /// Extra watchdog rules from --watch, pre-parsed at argv time.
   std::vector<gamedb::telemetry::HealthRule> watch_rules;
   /// Live taps owned by main() when --trace/--metrics/--flightrec were
-  /// given.
+  /// given: one tracer for the whole invocation, one registry per
+  /// scenario.
   gamedb::telemetry::MetricsRegistry* metrics = nullptr;
   gamedb::telemetry::Tracer* tracer = nullptr;
   bool list = false;
@@ -115,8 +118,9 @@ struct CliOptions {
   uint64_t clients = 0, npcs = 0, ticks = 0, seed = 0, threads = 0;
   double slo_p50_ms = 0.0, slo_p99_ms = 0.0, slo_p999_ms = 0.0;
   bool planner_on = true;
-  /// True when more than one scenario runs (--scenario=all): bundle files
-  /// get a per-scenario suffix so runs don't overwrite each other.
+  /// True when more than one scenario runs (--scenario=all): bundle and
+  /// metrics files get a per-scenario suffix so runs don't overwrite each
+  /// other.
   bool multi_scenario = false;
 };
 
@@ -215,12 +219,12 @@ int WriteTelemetryArtifact(const std::string& path, const std::string& content,
                            const char* what,
                            Status (*validate)(const std::string&));
 
-/// Bundle file path for `name`: --flightrec's path, with ".<scenario>"
-/// inserted before the extension on a multi-scenario sweep so runs don't
-/// overwrite each other.
-std::string BundlePathFor(const CliOptions& opts, const std::string& name) {
-  if (!opts.multi_scenario) return opts.flightrec_path;
-  const std::string& path = opts.flightrec_path;
+/// Per-scenario artifact path for `name`: `path` (--flightrec's or
+/// --metrics'), with ".<scenario>" inserted before the extension on a
+/// multi-scenario sweep so runs don't overwrite each other.
+std::string ScenarioPath(const CliOptions& opts, const std::string& path,
+                         const std::string& name) {
+  if (!opts.multi_scenario) return path;
   size_t dot = path.rfind('.');
   size_t slash = path.find_last_of('/');
   if (dot == std::string::npos ||
@@ -253,9 +257,9 @@ int RunOne(const std::string& name, const CliOptions& opts) {
   cfg.metrics = opts.metrics;
   cfg.tracer = opts.tracer;
 
-  // Flight recorder + watchdog, armed per scenario (the registry above is
-  // shared, so delta baselines are primed at enable; ticks restart at 1
-  // each scenario, which a per-run recorder keeps monotonic).
+  // Flight recorder + watchdog, armed per scenario over the scenario's own
+  // registry (ticks restart at 1 each scenario, which a per-run recorder
+  // keeps monotonic).
   gamedb::telemetry::FlightRecorder recorder(opts.metrics);
   gamedb::telemetry::Watchdog watchdog(&recorder);
   std::vector<std::string> hot_plans;
@@ -267,8 +271,8 @@ int RunOne(const std::string& name, const CliOptions& opts) {
     cfg.hot_plans_out = &hot_plans;
     cfg.trace_last_tick_only = true;
     // The scenario's SLO targets double as default watchdog rules over the
-    // harness tick histogram, so a breach is visible the tick it develops
-    // — not just in the post-run verdict.
+    // tick histogram, so a breach is visible the tick it develops — not
+    // just in the post-run verdict.
     auto slo_rule = [&](const char* rule_name, const char* metric,
                        double target_ms) {
       if (target_ms <= 0.0) return;
@@ -283,9 +287,9 @@ int RunOne(const std::string& name, const CliOptions& opts) {
       watchdog.AddRule(r);
     };
     if (cfg.collect_timing) {
-      slo_rule("slo_tick_p50", "loadgen.tick_ns:p50", cfg.slo_p50_ms);
-      slo_rule("slo_tick_p99", "loadgen.tick_ns:p99", cfg.slo_p99_ms);
-      slo_rule("slo_tick_p999", "loadgen.tick_ns:p999", cfg.slo_p999_ms);
+      slo_rule("slo_tick_p50", "tick_ns:p50", cfg.slo_p50_ms);
+      slo_rule("slo_tick_p99", "tick_ns:p99", cfg.slo_p99_ms);
+      slo_rule("slo_tick_p999", "tick_ns:p999", cfg.slo_p999_ms);
     }
     for (const auto& rule : opts.watch_rules) watchdog.AddRule(rule);
   }
@@ -303,7 +307,7 @@ int RunOne(const std::string& name, const CliOptions& opts) {
         in.slo_checks = checks;
         in.hot_plans = hot_plans;
         return WriteTelemetryArtifact(
-            BundlePathFor(opts, name),
+            ScenarioPath(opts, opts.flightrec_path, name),
             gamedb::telemetry::RenderFlightRecorderBundle(in), "flightrec",
             &gamedb::telemetry::ValidateFlightRecorderBundle);
       };
@@ -334,8 +338,8 @@ int RunOne(const std::string& name, const CliOptions& opts) {
               report.sync_bytes_per_client_tick);
   if (cfg.collect_timing) {
     std::printf(" tick p50=%.3fms p99=%.3fms p99.9=%.3fms",
-                report.tick.p50_ns / 1e6, report.tick.p99_ns / 1e6,
-                report.tick.p999_ns / 1e6);
+                report.tick.p50 / 1e6, report.tick.p99 / 1e6,
+                report.tick.p999 / 1e6);
   }
   std::printf(" -> %s\n", path_or.value().c_str());
 
@@ -437,14 +441,9 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  // Telemetry taps live here, above every scenario the invocation runs, so
-  // one --scenario=all sweep lands in a single trace/snapshot.
-  gamedb::telemetry::MetricsRegistry registry;
+  // The tracer lives here, above every scenario the invocation runs, so one
+  // --scenario=all sweep lands in a single trace.
   gamedb::telemetry::Tracer tracer;
-  if (!opts.metrics_path.empty()) {
-    registry.SetEnabled(true);
-    opts.metrics = &registry;
-  }
   if (!opts.trace_path.empty()) {
     tracer.SetEnabled(true);
     opts.tracer = &tracer;
@@ -457,10 +456,8 @@ int main(int argc, char** argv) {
                    "trace needs them all)\n");
       return 1;
     }
-    // The recorder samples the registry and bundles embed the current
-    // tick's spans, so both taps are live even without --metrics/--trace.
-    registry.SetEnabled(true);
-    opts.metrics = &registry;
+    // Bundles embed the current tick's spans, so the tracer is live even
+    // without --trace.
     tracer.SetEnabled(true);
     opts.tracer = &tracer;
   }
@@ -484,21 +481,30 @@ int main(int argc, char** argv) {
     }
     to_run.push_back(opts.scenario);
   }
+  // Each scenario gets its own registry: the report's timing section is
+  // read from it, so it must hold that scenario's ticks alone. The
+  // recorder samples the registry, so --flightrec needs one too.
+  const bool metrics =
+      !opts.metrics_path.empty() || !opts.flightrec_path.empty();
   int rc = 0;
   for (const std::string& name : to_run) {
+    gamedb::telemetry::MetricsRegistry registry;
+    registry.SetEnabled(metrics);
+    opts.metrics = metrics ? &registry : nullptr;
     int one = RunOne(name, opts);
     if (one != 0 && (rc == 0 || one < rc)) rc = one;
+    if (!opts.metrics_path.empty()) {
+      one = WriteTelemetryArtifact(
+          ScenarioPath(opts, opts.metrics_path, name),
+          gamedb::telemetry::RenderTelemetryJson(registry), "metrics",
+          &gamedb::telemetry::ValidateTelemetryJson);
+      if (one != 0 && (rc == 0 || one < rc)) rc = one;
+    }
   }
   if (!opts.trace_path.empty()) {
     int one = WriteTelemetryArtifact(
         opts.trace_path, gamedb::telemetry::RenderChromeTraceJson(tracer),
         "trace", &gamedb::telemetry::ValidateChromeTraceJson);
-    if (one != 0 && (rc == 0 || one < rc)) rc = one;
-  }
-  if (!opts.metrics_path.empty()) {
-    int one = WriteTelemetryArtifact(
-        opts.metrics_path, gamedb::telemetry::RenderTelemetryJson(registry),
-        "metrics", &gamedb::telemetry::ValidateTelemetryJson);
     if (one != 0 && (rc == 0 || one < rc)) rc = one;
   }
   return rc;

@@ -56,15 +56,14 @@ class ObjectWriter {
   bool first_ = true;
 };
 
-void RenderSummary(ObjectWriter& w, const char* key,
-                   const LatencySummary& s) {
-  w.Object(key, [&](ObjectWriter& o) {
+void RenderSummary(ObjectWriter& w, const telemetry::HistogramSummary& s) {
+  w.Object(s.name.c_str(), [&](ObjectWriter& o) {
     o.Field("count", s.count);
-    o.Field("p50", s.p50_ns);
-    o.Field("p99", s.p99_ns);
-    o.Field("p999", s.p999_ns);
-    o.Field("max", s.max_ns);
-    o.Field("mean", s.mean_ns);
+    o.Field("p50", s.p50);
+    o.Field("p99", s.p99);
+    o.Field("p999", s.p999);
+    o.Field("max", s.max);
+    o.Field("mean", s.mean);
   });
 }
 
@@ -86,14 +85,14 @@ Status Require(const JsonValue& obj, const char* section, const char* key,
   return Status::OK();
 }
 
-Status CheckSummary(const JsonValue& timing, const char* key) {
+Status CheckSummary(const JsonValue& timing, const std::string& key) {
   const JsonValue* s = timing.Find(key);
   if (s == nullptr || s->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument(std::string("schema: missing timing.") +
-                                   key);
+    return Status::InvalidArgument("schema: missing timing." + key);
   }
   for (const char* field : {"count", "p50", "p99", "p999", "max", "mean"}) {
-    GAMEDB_RETURN_NOT_OK(Require(*s, key, field, JsonValue::Kind::kNumber));
+    GAMEDB_RETURN_NOT_OK(
+        Require(*s, key.c_str(), field, JsonValue::Kind::kNumber));
   }
   return Status::OK();
 }
@@ -150,11 +149,8 @@ std::string RenderReportJson(const ScenarioReport& report) {
   });
   if (report.config.collect_timing) {
     root.Object("timing", [&](ObjectWriter& o) {
-      RenderSummary(o, "tick_ns", report.tick);
-      RenderSummary(o, "script_phase_ns", report.script_phase);
-      RenderSummary(o, "view_maintain_ns", report.view_maintain);
-      RenderSummary(o, "sync_phase_ns", report.sync_phase);
-      RenderSummary(o, "persist_phase_ns", report.persist_phase);
+      RenderSummary(o, report.tick);
+      for (const auto& phase : report.phases) RenderSummary(o, phase);
       o.Object("slo", [&](ObjectWriter& slo) {
         slo.Field("evaluated", report.slo_evaluated);
         slo.Field("violated", report.slo_violated);
@@ -259,10 +255,12 @@ Status ValidateReportJson(const std::string& doc) {
     if (timing->kind != JsonValue::Kind::kObject) {
       return Status::InvalidArgument("schema: timing must be an object");
     }
-    for (const char* key : {"tick_ns", "script_phase_ns", "view_maintain_ns",
-                            "sync_phase_ns", "persist_phase_ns"}) {
-      GAMEDB_RETURN_NOT_OK(CheckSummary(*timing, key));
+    GAMEDB_RETURN_NOT_OK(CheckSummary(*timing, "tick_ns"));
+    for (const char* phase : kTickPhases) {
+      GAMEDB_RETURN_NOT_OK(
+          CheckSummary(*timing, std::string(phase) + "_ns"));
     }
+    GAMEDB_RETURN_NOT_OK(CheckSummary(*timing, "tick.unattributed_ns"));
     const JsonValue* slo = timing->Find("slo");
     if (slo == nullptr || slo->kind != JsonValue::Kind::kObject) {
       return Status::InvalidArgument("schema: missing timing.slo");

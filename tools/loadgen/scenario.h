@@ -26,12 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "common/percentile.h"
 #include "common/status.h"
 #include "telemetry/bundle.h"
+#include "telemetry/registry.h"
 
 namespace gamedb::telemetry {
-class MetricsRegistry;
 class Tracer;
 }  // namespace gamedb::telemetry
 
@@ -54,10 +53,10 @@ struct ScenarioConfig {
   bool planner_on = true;
   float arena = 1000.0f;
   float interest_radius = 80.0f;
-  /// When false, latency histograms are not collected and the emitted JSON
-  /// omits the timing section entirely — the whole report is then
-  /// byte-identical for a given (scenario, seed) at any thread count (the
-  /// scenario-replay regression tier asserts exactly this).
+  /// When false, the emitted JSON omits the timing section entirely — the
+  /// whole report is then byte-identical for a given (scenario, seed) at
+  /// any thread count (the scenario-replay regression tier asserts exactly
+  /// this) — and, without a `metrics` registry, the tick is not timed.
   bool collect_timing = true;
   /// Load the behavior pack under Strictness::kStrict — any error-severity
   /// finding from the GSL static verifier (script/analyzer.h) rejects the
@@ -73,9 +72,12 @@ struct ScenarioConfig {
   /// Optional telemetry taps (telemetry/registry.h, telemetry/trace.h),
   /// threaded into every subsystem the Driver builds. Non-owning; the
   /// caller (loadgen --metrics/--trace) owns them and must keep them alive
-  /// across RunScenario. Telemetry is observational only — it never feeds
-  /// back into the simulation, so the determinism contract above holds
-  /// with or without these taps.
+  /// across RunScenario. The registry also holds the tick-phase histograms
+  /// the report's timing section is read from, so give each run its own;
+  /// a timed run without one times its phases into a private registry.
+  /// Telemetry is observational only — it never feeds back into the
+  /// simulation, so the determinism contract above holds with or without
+  /// these taps.
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::Tracer* tracer = nullptr;
   /// Continuous-observability pair (PR 10): when set, the Driver samples
@@ -96,21 +98,37 @@ struct ScenarioConfig {
   std::vector<std::string>* hot_plans_out = nullptr;
 };
 
-/// Quantile digest of one latency histogram, in nanoseconds.
-struct LatencySummary {
-  uint64_t count = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-  uint64_t max_ns = 0;
-  double mean_ns = 0.0;
+/// The tick's phases in execution order. Driver::Tick runs each inside one
+/// telemetry::TraceSpan that records the registry histogram `<phase>_ns`;
+/// whatever the phases leave of `tick_ns` is recorded as
+/// `tick.unattributed_ns`.
+enum TickPhase : size_t {
+  kPhaseMutate,
+  kPhasePlannerRefresh,
+  kPhaseMaintainPreScript,
+  kPhaseRunTick,
+  kPhaseOnEvent,
+  kPhaseMaintainPreSync,
+  kPhaseSync,
+  kPhaseTickEnd,
+  kTickPhaseCount,
 };
 
-LatencySummary Summarize(const LatencyHistogram& h);
+/// Phase names, by TickPhase: shardbench's layer names.
+inline constexpr const char* kTickPhases[kTickPhaseCount] = {
+    "core.mutate",
+    "planner.refresh",
+    "views.maintain_pre_script",
+    "script.run_tick",
+    "persist.on_event",
+    "views.maintain_pre_sync",
+    "replication.sync",
+    "persist.tick_end",
+};
 
 /// Everything one scenario run produced. Fields above `tick` are the
 /// deterministic section (thread- and planner-invariant, timing-free);
-/// the LatencySummary fields and the SLO verdict are observational.
+/// the histogram digests and the SLO verdict are observational.
 struct ScenarioReport {
   ScenarioConfig config;
 
@@ -144,12 +162,11 @@ struct ScenarioReport {
   /// Post-run crash-recovery check: tick a fresh Recover() restored to.
   uint64_t recovery_tick = 0;
 
-  // --- Timing section (zeroed when !config.collect_timing) ---------------
-  LatencySummary tick;           ///< whole tick (mutate+script+sync+persist)
-  LatencySummary script_phase;   ///< ScriptHost parallel query fan-out
-  LatencySummary view_maintain;  ///< ViewCatalog::Maintain rounds
-  LatencySummary sync_phase;     ///< SyncServer::SyncAll
-  LatencySummary persist_phase;  ///< PersistenceManager::OnTickEnd
+  // --- Timing section (empty when !config.collect_timing) ---------------
+  /// Registry digests in nanoseconds: `tick_ns`, then `<phase>_ns` for
+  /// each of kTickPhases in order, then `tick.unattributed_ns`.
+  telemetry::HistogramSummary tick;
+  std::vector<telemetry::HistogramSummary> phases;
   bool slo_evaluated = false;
   bool slo_violated = false;
   std::string slo_detail;
