@@ -1,35 +1,46 @@
 #pragma once
 
 /// \file change_log.h
-/// Net per-window change sets of a component table — the delta layer the
-/// incremental view maintenance in views/ consumes (docs/ARCHITECTURE.md
-/// "Live views").
+/// The change log of a component table: one append-only record per tracked
+/// mutation, read by any number of consumers through their own cursors —
+/// the delta layer that incremental view maintenance (views/) and delta
+/// replication (replication/) consume (docs/ARCHITECTURE.md "Live views").
 ///
-/// A capturing table (ComponentStore::EnableChangeCapture) appends one
-/// record per tracked mutation to a cheap ring; FlushChanges coalesces the
-/// ring into *net* changes relative to the window start:
+/// A table appends a record only while at least one cursor is open, and
+/// every cursor advance or close drops the records the slowest open cursor
+/// has already read, so the log holds exactly what some reader has yet to
+/// see. Records are keyed by the full 64-bit entity id, never by dense row
+/// position (Erase swaps the last row into the hole).
+///
+/// ChangeLog::Read coalesces the records after a cursor into *net* changes
+/// relative to the cursor's position:
 ///   - a row added and removed within the window cancels out entirely;
 ///   - a row present at window start that was updated (any number of times)
 ///     and finally removed reports only `removed`;
 ///   - a row removed and re-added reports `updated` (its value may differ);
 ///   - destroy-then-recreate of an entity slot reports `removed` for the
-///     old generation and `added` for the new one (records are keyed by the
-///     full 64-bit id, so slot reuse cannot alias).
+///     old generation and `added` for the new one (slot reuse cannot alias).
 /// Consumers that re-evaluate every reported entity against current table
 /// state therefore converge regardless of the intra-window mutation order.
 ///
 /// The paper connection: this is the change-capture half of materialized
 /// view maintenance — the "declarative processing" follow-up's argument
-/// that per-tick cost should scale with change volume, not world size.
+/// that per-tick cost should scale with change volume, not world size, and
+/// its assumption that every consumer sees every net delta.
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/entity.h"
 
 namespace gamedb {
 
-/// Net changes of one component table over one capture window.
+/// Kind of a tracked mutation (change-log records and table observers).
+enum class ChangeKind : uint8_t { kAdd, kUpdate, kRemove };
+
+/// Net changes of one component table over one cursor window.
 ///
 /// `added`: rows that exist now but did not at window start.
 /// `removed`: rows that existed at window start but are gone now.
@@ -52,6 +63,75 @@ struct ChangeSet {
     removed.clear();
     updated.clear();
   }
+};
+
+/// Append-only change log of one table, read through per-consumer cursors.
+/// Not thread-safe; tables are mutated and read from sequential code.
+class ChangeLog {
+ public:
+  /// One reader's handle; valid from Open until Close.
+  using Cursor = uint32_t;
+
+  /// Opens a cursor at the end of the log: its reader sees every tracked
+  /// mutation from now on.
+  Cursor Open();
+  /// Ends the cursor and drops the records no open cursor still needs.
+  void Close(Cursor cursor);
+
+  /// Records one tracked mutation; a no-op while no cursor is open.
+  void Append(ChangeKind kind, EntityId e) {
+    if (!cursors_.empty()) records_.push_back(Record{e, kind});
+  }
+
+  /// Coalesces the records after `cursor` into net changes (see the file
+  /// comment), then advances the cursor to the end. `out` is Clear()ed
+  /// first.
+  void Read(Cursor cursor, ChangeSet* out);
+
+  /// Calls fn(EntityId) for each raw removal record after `cursor`, in
+  /// log order, then advances the cursor to the end.
+  template <typename Fn>
+  void ForEachRemoval(Cursor cursor, Fn&& fn) {
+    for (size_t i = cursors_[cursor] - base_; i < records_.size(); ++i) {
+      if (records_[i].kind == ChangeKind::kRemove) fn(records_[i].entity);
+    }
+    Advance(cursor);
+  }
+
+  /// Records held: those after the slowest open cursor.
+  size_t size() const { return records_.size(); }
+
+ private:
+  struct Record {
+    EntityId entity;
+    ChangeKind kind;
+  };
+
+  /// Net state per entity over a window, keyed by the full 64-bit id so
+  /// destroy-then-recreate of a slot yields two distinct entries.
+  struct NetState {
+    bool existed_at_start = false;
+    bool present = false;
+    bool updated = false;
+  };
+
+  static constexpr uint64_t kClosed = UINT64_MAX;
+
+  /// Moves `cursor` to the end of the log, then drops what every open
+  /// cursor has read.
+  void Advance(Cursor cursor);
+  void DropRead();
+
+  /// records_[i] has sequence number base_ + i.
+  std::vector<Record> records_;
+  uint64_t base_ = 0;
+  /// Sequence number each cursor reads next (kClosed: free slot); the
+  /// last slot is always open.
+  std::vector<uint64_t> cursors_;
+  /// Read's coalescing scratch, reused across reads (the path whose cost
+  /// must stay O(change volume), not O(allocations)).
+  std::unordered_map<uint64_t, NetState> net_;
+  std::vector<EntityId> order_;
 };
 
 }  // namespace gamedb

@@ -3,13 +3,14 @@
 /// \file sparse_set.h
 /// Sparse-set component tables: the physical storage layer of the game state
 /// database. Dense, cache-friendly iteration (the "EnTT-style" layout) with
-/// O(1) add/remove/lookup, per-row versions for delta extraction, and change
-/// observers that feed maintained aggregate indexes (docs/ARCHITECTURE.md "Maintained aggregates").
+/// O(1) add/remove/lookup, per-row versions for delta extraction, a change
+/// log read through per-consumer cursors (core/change_log.h), and change
+/// observers that feed maintained aggregate indexes (docs/ARCHITECTURE.md
+/// "Maintained aggregates").
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -17,9 +18,6 @@
 #include "core/entity.h"
 
 namespace gamedb {
-
-/// Kind of change reported to table observers.
-enum class ChangeKind : uint8_t { kAdd, kUpdate, kRemove };
 
 /// Type-erased interface over SparseSet<T>, used by reflection-driven code
 /// (serialization, scripts, prefabs) that does not know T statically.
@@ -64,35 +62,21 @@ class ComponentStore {
   /// `e` has no row. This is the reflection-layer analogue of Patch.
   virtual bool PatchRaw(EntityId e,
                         const std::function<void(void*)>& mutate) = 0;
-  /// Type-erased removal-log iteration (see ForEachRemovedSince).
-  virtual void ForEachRemoved(
-      uint64_t since, const std::function<void(EntityId)>& fn) const = 0;
-
-  // --- Change capture (incremental view maintenance; core/change_log.h) ---
-
-  /// Starts recording every tracked mutation (Set/Patch/PatchRaw/Touch/
-  /// Erase) into a per-table change ring. Idempotent. Writes that bypass
-  /// tracking (GetMutableUntracked without Touch) are invisible here, the
-  /// same contract maintained aggregates live with. A capturing table whose
-  /// ring is never flushed grows it without bound — enable capture only
-  /// when something (a views::ViewCatalog) flushes each tick.
-  virtual void EnableChangeCapture() = 0;
-  /// Stops capturing and discards any buffered records (the flusher went
-  /// away — e.g. a views::ViewCatalog was destroyed).
-  virtual void DisableChangeCapture() = 0;
-  virtual bool change_capture_enabled() const = 0;
-  /// Coalesces the ring into net changes since the last flush (see
-  /// ChangeSet) and clears it. `out` is Clear()ed first. With capture
-  /// disabled this reports nothing.
-  virtual void FlushChanges(ChangeSet* out) = 0;
-  /// Raw (un-coalesced) records currently buffered; diagnostics and tests.
-  virtual size_t pending_change_records() const = 0;
+  /// The table's change log. Set/Patch/PatchRaw/Touch/Erase append one
+  /// record each while a cursor is open; writes that bypass tracking
+  /// (GetMutableUntracked without Touch) are invisible here, the same
+  /// contract maintained aggregates live with. Views and replication read
+  /// it through their own cursors.
+  ChangeLog& changes() { return changes_; }
 
   /// Number of live change observers subscribed to this table. Observers see
   /// old/new values on Patch but old == nullptr on Touch, so code that wants
   /// to substitute Touch for Patch (direct-write fast paths) must check this
   /// is zero first.
   virtual size_t observer_count() const = 0;
+
+ private:
+  ChangeLog changes_;
 };
 
 /// Dense table of components of type T keyed by entity.
@@ -119,7 +103,7 @@ class SparseSet final : public ComponentStore {
       T old = dense_values_[pos];
       dense_values_[pos] = std::move(value);
       row_versions_[pos] = ++version_;
-      Capture(ChangeKind::kUpdate, e);
+      changes().Append(ChangeKind::kUpdate, e);
       Notify(ChangeKind::kUpdate, e, &old, &dense_values_[pos]);
       return dense_values_[pos];
     }
@@ -128,7 +112,7 @@ class SparseSet final : public ComponentStore {
     dense_entities_.push_back(e);
     dense_values_.push_back(std::move(value));
     row_versions_.push_back(++version_);
-    Capture(ChangeKind::kAdd, e);
+    changes().Append(ChangeKind::kAdd, e);
     Notify(ChangeKind::kAdd, e, nullptr, &dense_values_.back());
     return dense_values_.back();
   }
@@ -150,7 +134,7 @@ class SparseSet final : public ComponentStore {
     T old = dense_values_[pos];
     fn(dense_values_[pos]);
     row_versions_[pos] = ++version_;
-    Capture(ChangeKind::kUpdate, e);
+    changes().Append(ChangeKind::kUpdate, e);
     Notify(ChangeKind::kUpdate, e, &old, &dense_values_[pos]);
     return true;
   }
@@ -185,8 +169,7 @@ class SparseSet final : public ComponentStore {
     row_versions_.pop_back();
     sparse_[e.index] = kNpos;
     ++version_;
-    removed_log_.push_back({e, version_});
-    Capture(ChangeKind::kRemove, e);
+    changes().Append(ChangeKind::kRemove, e);
     Notify(ChangeKind::kRemove, e, &old, nullptr);
     return true;
   }
@@ -223,82 +206,13 @@ class SparseSet final : public ComponentStore {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return;
     row_versions_[pos] = ++version_;
-    Capture(ChangeKind::kUpdate, e);
+    changes().Append(ChangeKind::kUpdate, e);
     Notify(ChangeKind::kUpdate, e, nullptr, &dense_values_[pos]);
   }
 
   bool PatchRaw(EntityId e,
                 const std::function<void(void*)>& mutate) override {
     return Patch(e, [&](T& value) { mutate(&value); });
-  }
-
-  void ForEachRemoved(
-      uint64_t since,
-      const std::function<void(EntityId)>& fn) const override {
-    ForEachRemovedSince(since, fn);
-  }
-
-  void EnableChangeCapture() override { capture_ = true; }
-  void DisableChangeCapture() override {
-    capture_ = false;
-    change_log_.clear();
-  }
-  bool change_capture_enabled() const override { return capture_; }
-  size_t pending_change_records() const override {
-    return change_log_.size();
-  }
-
-  void FlushChanges(ChangeSet* out) override {
-    out->Clear();
-    if (change_log_.empty()) return;
-    // Coalescing scratch is reused across flushes (this runs once per
-    // captured table per tick — the path whose cost must stay
-    // O(change volume), not O(allocations)).
-    auto& net = flush_net_;
-    auto& order = flush_order_;
-    net.clear();
-    order.clear();
-    net.reserve(change_log_.size());
-    for (const auto& [kind, e] : change_log_) {
-      auto [it, inserted] = net.try_emplace(e.Raw());
-      NetState& s = it->second;
-      if (inserted) {
-        order.push_back(e);
-        // The first record tells us the window-start state: a row can only
-        // be added if absent, and only updated/removed if present.
-        s.existed_at_start = kind != ChangeKind::kAdd;
-        s.present = kind != ChangeKind::kRemove;
-        s.updated = kind == ChangeKind::kUpdate;
-      } else {
-        switch (kind) {
-          case ChangeKind::kAdd:
-            s.present = true;
-            // Removed then re-added: the row existed at window start and
-            // exists now, but its value may differ — net update.
-            if (s.existed_at_start) s.updated = true;
-            break;
-          case ChangeKind::kUpdate:
-            s.updated = true;
-            break;
-          case ChangeKind::kRemove:
-            s.present = false;
-            break;
-        }
-      }
-    }
-    for (EntityId e : order) {
-      const NetState& s = net[e.Raw()];
-      if (s.existed_at_start && !s.present) {
-        out->removed.push_back(e);
-      } else if (!s.existed_at_start && s.present) {
-        out->added.push_back(e);
-      } else if (s.existed_at_start && s.present && s.updated) {
-        out->updated.push_back(e);
-      }
-      // !existed && !present: added and removed within the window — no net
-      // change, nothing reported.
-    }
-    change_log_.clear();
   }
 
   /// Iterates all rows: fn(EntityId, T&).
@@ -313,32 +227,6 @@ class SparseSet final : public ComponentStore {
     for (size_t i = 0; i < dense_entities_.size(); ++i) {
       fn(dense_entities_[i], dense_values_[i]);
     }
-  }
-
-  /// Iterates rows whose version is > `since`: fn(EntityId, const T&).
-  template <typename Fn>
-  void ForEachChangedSince(uint64_t since, Fn&& fn) const {
-    for (size_t i = 0; i < dense_entities_.size(); ++i) {
-      if (row_versions_[i] > since) fn(dense_entities_[i], dense_values_[i]);
-    }
-  }
-
-  /// Iterates removals recorded after `since`: fn(EntityId).
-  template <typename Fn>
-  void ForEachRemovedSince(uint64_t since, Fn&& fn) const {
-    for (const auto& r : removed_log_) {
-      if (r.version > since) fn(r.entity);
-    }
-  }
-
-  /// Drops removal-log entries at or before `before` (call once all
-  /// subscribers have consumed up to that version).
-  void TrimRemovedLog(uint64_t before) {
-    size_t keep = 0;
-    for (size_t i = 0; i < removed_log_.size(); ++i) {
-      if (removed_log_[i].version > before) removed_log_[keep++] = removed_log_[i];
-    }
-    removed_log_.resize(keep);
   }
 
   /// Registers a change observer; returns a handle for Unsubscribe.
@@ -367,29 +255,6 @@ class SparseSet final : public ComponentStore {
  private:
   static constexpr uint32_t kNpos = std::numeric_limits<uint32_t>::max();
 
-  struct Removal {
-    EntityId entity;
-    uint64_t version;
-  };
-
-  /// One raw change-capture record (coalesced at FlushChanges).
-  struct ChangeRec {
-    ChangeKind kind;
-    EntityId entity;
-  };
-
-  /// Net state per entity over a capture window, keyed by the full 64-bit
-  /// id so destroy-then-recreate of a slot yields two distinct entries.
-  struct NetState {
-    bool existed_at_start = false;
-    bool present = false;
-    bool updated = false;
-  };
-
-  void Capture(ChangeKind kind, EntityId e) {
-    if (capture_) change_log_.push_back(ChangeRec{kind, e});
-  }
-
   uint32_t SparsePos(EntityId e) const {
     if (e.index >= sparse_.size()) return kNpos;
     return sparse_[e.index];
@@ -410,13 +275,7 @@ class SparseSet final : public ComponentStore {
   std::vector<EntityId> dense_entities_;
   std::vector<T> dense_values_;
   std::vector<uint64_t> row_versions_;
-  std::vector<Removal> removed_log_;
   std::vector<Observer> observers_;
-  std::vector<ChangeRec> change_log_;
-  /// FlushChanges coalescing scratch, reused across flushes.
-  std::unordered_map<uint64_t, NetState> flush_net_;
-  std::vector<EntityId> flush_order_;
-  bool capture_ = false;
   uint64_t version_ = 0;
 };
 

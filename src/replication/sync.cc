@@ -22,12 +22,7 @@ SyncServer::SyncServer(World* server_world, SyncOptions options)
 }
 
 SyncServer::~SyncServer() {
-  if (options_.view_catalog == nullptr) return;
-  for (auto& client : clients_) {
-    if (client->interest_view_ != nullptr) {
-      options_.view_catalog->Unregister(client->interest_view_->name());
-    }
-  }
+  for (size_t i = 0; i < clients_.size(); ++i) RemoveClient(i);
 }
 
 const char* SyncStrategyName(SyncStrategy s) {
@@ -77,6 +72,10 @@ void SyncServer::RemoveClient(size_t i) {
   if (!client->connected_) return;
   client->connected_ = false;
   --connected_count_;
+  for (const auto& [id, table] : client->tables_) {
+    server_->StoreById(id)->changes().Close(table.cursor);
+  }
+  client->tables_.clear();
   if (client->interest_view_ != nullptr &&
       options_.view_catalog != nullptr) {
     options_.view_catalog->Unregister(client->interest_view_->name());
@@ -175,9 +174,12 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
   Status apply_status = Status::OK();
   server_->ForEachStore([&](const TypeInfo& info, ComponentStore& store) {
     if (!apply_status.ok()) return;
-    uint64_t acked = 0;
-    auto acked_it = client->acked_.find(info.id());
-    if (acked_it != client->acked_.end()) acked = acked_it->second;
+    // The cursor opens the first time this client meets the table: no
+    // removal from before then ever reached its replica.
+    auto [sync_it, first] = client->tables_.try_emplace(info.id());
+    ClientReplica::TableSync& table = sync_it->second;
+    if (first) table.cursor = store.changes().Open();
+    const uint64_t acked = table.acked;
 
     ComponentStore* client_store = replica.StoreById(info.id());
     GAMEDB_CHECK(client_store != nullptr);
@@ -226,14 +228,16 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
       }
     }
 
-    // Removals on the server side.
-    store.ForEachRemoved(acked, [&](EntityId e) {
+    // Removals on the server side. A row re-added since its removal was
+    // sent above with its new version; erasing it now would lose it.
+    store.changes().ForEachRemoval(table.cursor, [&](EntityId e) {
+      if (store.Contains(e)) return;
       PutFixed64(&message, e.Raw());
       ++stats->removals_sent;
       client_store->Erase(e);
     });
 
-    client->acked_[info.id()] = store.last_version();
+    table.acked = store.last_version();
   });
   GAMEDB_RETURN_NOT_OK(apply_status);
 

@@ -13,9 +13,11 @@
 /// aggro-management material in aggro.h / E11.
 ///
 /// Scope: component values replicate, and so does destruction, as row
-/// removals: SendDelta erases every row the server removed since the
-/// client's last ack, and the interest strategies destroy a replica entity
-/// once it leaves interest (a destroyed entity always does).
+/// removals: SendDelta reads each table's change log through the client's
+/// own cursor and erases every row the server removed since the client
+/// first synced that table (none from before it joined; a row re-added
+/// since is sent, not erased), and the interest strategies destroy a
+/// replica entity once it leaves interest (a destroyed entity always does).
 
 #include <memory>
 #include <string>
@@ -94,8 +96,13 @@ class ClientReplica {
   friend class SyncServer;
   World world_;
   EntityId avatar_;
-  /// Last acked version per component table (by type id).
-  std::unordered_map<uint32_t, uint64_t> acked_;
+  /// Per component table (by type id), from the first SendDelta that met
+  /// it: the last acked version and the client's change-log cursor.
+  struct TableSync {
+    uint64_t acked = 0;
+    ChangeLog::Cursor cursor = 0;
+  };
+  std::unordered_map<uint32_t, TableSync> tables_;
   /// kInterest / kInterestView: entities currently replicated.
   std::unordered_set<uint64_t> subscribed_;
   /// kInterestView: this client's interest view (owned by the catalog).
@@ -117,17 +124,18 @@ struct SyncStats {
 class SyncServer {
  public:
   SyncServer(World* server_world, SyncOptions options);
-  /// kInterestView: unregisters this server's interest views from the
-  /// catalog (clients of a torn-down server must not keep costing
-  /// maintenance).
+  /// Removes every client (RemoveClient), so a torn-down server neither
+  /// keeps costing view maintenance nor holds change-log records. The
+  /// server world must still be alive.
   ~SyncServer();
 
   /// Registers a client whose avatar is `avatar`; returns its index.
   size_t AddClient(EntityId avatar);
 
-  /// Disconnects client `i`: its interest view (kInterestView) is
-  /// unregistered from the catalog immediately — a logged-out client must
-  /// stop costing per-tick maintenance — and SyncAll skips it from now on.
+  /// Disconnects client `i`: its change-log cursors are closed and its
+  /// interest view (kInterestView) is unregistered from the catalog
+  /// immediately — a logged-out client must stop costing per-tick
+  /// maintenance and log space — and SyncAll skips it from now on.
   /// The replica world and index stay valid (indices of other clients are
   /// stable); reconnecting is a fresh AddClient. No-op when already
   /// disconnected.

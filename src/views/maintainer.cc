@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-
 namespace gamedb::views {
 
 ViewCatalog::~ViewCatalog() {
-  for (uint32_t id : captured_) {
-    ComponentStore* store = world_->StoreById(id);
-    if (store != nullptr) store->DisableChangeCapture();
+  for (const Table& t : tables_) {
+    world_->StoreById(t.type_id)->changes().Close(t.cursor);
   }
 }
 
@@ -21,32 +19,32 @@ Result<LiveView*> ViewCatalog::Register(ViewDef def) {
   GAMEDB_RETURN_NOT_OK(view->Resolve());
   // Dependency tables exist from here on (StoreById creates them), so the
   // view's Matches and a fresh DynamicQuery agree on store lookups.
-  std::vector<uint32_t> newly_captured;
-  for (uint32_t id : view->dependencies()) {
+  const std::vector<uint32_t>& deps = view->dependencies();
+  const size_t tables_before = tables_.size();
+  for (uint32_t id : deps) {
     ComponentStore* store = world_->StoreById(id);
     GAMEDB_CHECK(store != nullptr);  // Resolve validated the type id
-    store->EnableChangeCapture();
-    if (captured_set_.insert(id).second) {
-      captured_.push_back(id);
-      newly_captured.push_back(id);
+    if (std::none_of(tables_.begin(), tables_.end(),
+                     [id](const Table& t) { return t.type_id == id; })) {
+      tables_.push_back(Table{id, store->changes().Open(), {}});
     }
   }
   view->CacheStores();  // stores exist now; Matches resolves them once
   Status populated = view->Repopulate();
   if (!populated.ok()) {
-    // Honor the "unchanged on failure" contract: stop capturing tables no
-    // registered view depends on.
-    for (uint32_t id : newly_captured) {
-      world_->StoreById(id)->DisableChangeCapture();
-      captured_set_.erase(id);
-      captured_.erase(
-          std::remove(captured_.begin(), captured_.end(), id),
-          captured_.end());
+    // Honor the "unchanged on failure" contract: close only the cursors
+    // this call opened.
+    for (size_t i = tables_before; i < tables_.size(); ++i) {
+      world_->StoreById(tables_[i].type_id)->changes().Close(
+          tables_[i].cursor);
     }
+    tables_.resize(tables_before);
     return populated;
   }
-  for (uint32_t id : view->dependencies()) {
-    by_table_[id].push_back(view.get());
+  for (Table& t : tables_) {
+    if (std::find(deps.begin(), deps.end(), t.type_id) != deps.end()) {
+      t.views.push_back(view.get());
+    }
   }
   by_name_.emplace(view->name(), view.get());
   views_.push_back(std::move(view));
@@ -69,12 +67,9 @@ bool ViewCatalog::Unregister(const std::string& name) {
   // `name` may reference the view's own name (SyncServer passes
   // view->name()); erase by iterator before the view can be destroyed.
   by_name_.erase(by_name_.find(name));
-  for (uint32_t id : view->dependencies()) {
-    auto it = by_table_.find(id);
-    if (it == by_table_.end()) continue;
-    it->second.erase(
-        std::remove(it->second.begin(), it->second.end(), view),
-        it->second.end());
+  for (Table& t : tables_) {
+    t.views.erase(std::remove(t.views.begin(), t.views.end(), view),
+                  t.views.end());
   }
   views_.erase(std::remove_if(views_.begin(), views_.end(),
                               [&](const std::unique_ptr<LiveView>& v) {
@@ -96,15 +91,12 @@ void ViewCatalog::Maintain() {
   const uint64_t changes_before = stats_.change_records;
   const uint64_t flushed_before = stats_.tables_flushed;
   ++stats_.rounds;
-  for (uint32_t id : captured_) {
-    ComponentStore* store = world_->StoreById(id);
-    store->FlushChanges(&scratch_);
+  for (const Table& t : tables_) {
+    world_->StoreById(t.type_id)->changes().Read(t.cursor, &scratch_);
     if (scratch_.Empty()) continue;
     ++stats_.tables_flushed;
     stats_.change_records += scratch_.TotalChanges();
-    auto it = by_table_.find(id);
-    if (it == by_table_.end()) continue;
-    for (LiveView* v : it->second) {
+    for (LiveView* v : t.views) {
       // Everything is a candidate; re-evaluation is stateless, so routing
       // a removal to a non-member (or an add that also satisfies another
       // view's predicate) costs one cheap match check, never corruption.

@@ -2,13 +2,13 @@
 
 /// \file maintainer.h
 /// ViewCatalog: owns a World's LiveViews and drives their incremental
-/// maintenance from change capture.
+/// maintenance from the tables' change logs.
 ///
 /// Flow per quiescent point (ViewCatalog::Maintain — the tick loop calls it
 /// at the sequential point before each parallel script phase and before
 /// each interest-view sync; neither ScriptHost nor SyncServer calls it):
-///   1. every captured dependency table flushes its change ring once into
-///      a shared net ChangeSet (core/change_log.h);
+///   1. every dependency table's change log is read once through the
+///      catalog's own cursor into a net ChangeSet (core/change_log.h);
 ///   2. each changed entity is marked as a re-evaluation candidate on every
 ///      view depending on that table (deduplicated per view);
 ///   3. each view re-evaluates its candidates against current world state —
@@ -17,15 +17,13 @@
 /// membership), so any candidate superset converges to the correct
 /// membership; cost scales with change volume, not world size.
 ///
-/// Ownership rule: the catalog owns change-capture flushing for its
-/// dependency tables. Don't flush those tables elsewhere, and run at most
-/// one catalog per World, or deltas are consumed by one flusher and lost
-/// to the other.
+/// Each catalog reads through cursors of its own, so any number of
+/// catalogs and other change-log readers can share a World: every one of
+/// them sees every delta.
 
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -38,7 +36,7 @@ namespace gamedb::views {
 /// Maintenance counters for one catalog.
 struct CatalogStats {
   uint64_t rounds = 0;          ///< Maintain() calls
-  uint64_t tables_flushed = 0;  ///< flushes that carried any net change
+  uint64_t tables_flushed = 0;  ///< table reads that carried any net change
   uint64_t change_records = 0;  ///< net change records routed to views
 };
 
@@ -53,17 +51,16 @@ class ViewCatalog {
   /// catalog.
   explicit ViewCatalog(World* world, QueryPlanHook* planner = nullptr)
       : world_(world), planner_(planner) {}
-  /// Disables change capture on every table this catalog flushed — with
-  /// the flusher gone, a still-capturing table's ring would grow without
-  /// bound. The catalog must therefore not outlive its World.
+  /// Closes the catalog's change-log cursors, so its tables stop keeping
+  /// records for it. The catalog must therefore not outlive its World.
   ~ViewCatalog();
   GAMEDB_DISALLOW_COPY(ViewCatalog);
 
-  /// Resolves, registers and populates a view. Enables change capture on
-  /// every dependency table. Fails on unknown names, empty constraint sets
-  /// or a duplicate view name; the catalog is unchanged on failure
-  /// (capture enabled for the failed view's tables is rolled back unless
-  /// an already-registered view shares the table).
+  /// Resolves, registers and populates a view. Opens a change-log cursor
+  /// on each dependency table the catalog does not read yet. Fails on
+  /// unknown names, empty constraint sets or a duplicate view name; the
+  /// catalog is unchanged on failure (the cursors this call opened are
+  /// closed again).
   Result<LiveView*> Register(ViewDef def);
 
   /// Registered view by name (O(1), no key-copy allocation — the GSL view
@@ -72,14 +69,14 @@ class ViewCatalog {
   LiveView* Find(const std::string& name);
   const LiveView* Find(const std::string& name) const;
 
-  /// Removes (and destroys) a view; returns whether it existed. Change
-  /// capture stays enabled on its tables (other views — or a later
-  /// registration — may depend on them; the per-tick flush of a quiet
+  /// Removes (and destroys) a view; returns whether it existed. The
+  /// catalog's cursors on its tables stay open (other views — or a later
+  /// registration — may depend on them; the per-round read of a quiet
   /// table is a no-op). Invalidates LiveView* pointers to this view.
   bool Unregister(const std::string& name);
 
-  /// Quiescent-point maintenance: flush captured tables, re-evaluate
-  /// changed entities, fire subscriptions. See file comment.
+  /// Quiescent-point maintenance: read each dependency table's changes,
+  /// re-evaluate changed entities, fire subscriptions. See file comment.
   void Maintain();
 
   size_t view_count() const { return views_.size(); }
@@ -97,7 +94,7 @@ class ViewCatalog {
   World* world() const { return world_; }
   QueryPlanHook* planner() const { return planner_; }
 
-  /// Attaches a telemetry sink: Maintain() folds its round/flush/change
+  /// Attaches a telemetry sink: Maintain() folds its round/table/change
   /// counters into `views.*` registry instruments. (The tick loop times
   /// each round as its own phase.) Non-owning; the sink's registry must
   /// outlive the catalog. Call from sequential code.
@@ -109,11 +106,15 @@ class ViewCatalog {
   std::vector<std::unique_ptr<LiveView>> views_;
   /// name -> view (the GSL builtins resolve names per call; keep it O(1)).
   std::unordered_map<std::string, LiveView*> by_name_;
-  /// type id -> views depending on that table (registration order).
-  std::unordered_map<uint32_t, std::vector<LiveView*>> by_table_;
-  /// Tables this catalog flushes, in first-registration order.
-  std::vector<uint32_t> captured_;
-  std::unordered_set<uint32_t> captured_set_;
+  /// One dependency table: the catalog's cursor into its change log and
+  /// the views depending on it (registration order).
+  struct Table {
+    uint32_t type_id = 0;
+    ChangeLog::Cursor cursor = 0;
+    std::vector<LiveView*> views;
+  };
+  /// Dependency tables, in first-registration order.
+  std::vector<Table> tables_;
   ChangeSet scratch_;
   CatalogStats stats_;
   /// Cached registry instruments (all nullptr until SetTelemetry).

@@ -1,14 +1,7 @@
-// Pins the documented ChangeSet multi-consumer footgun (see
-// views/maintainer.h "Ownership rule" and ROADMAP.md): a component table's
-// change ring is consumed destructively by FlushChanges, so two
-// ViewCatalogs on one World — or a catalog plus any external FlushChanges
-// caller — steal each other's deltas, and the loser silently serves stale
-// view state.
-//
-// These tests document the CURRENT (lossy) semantics on purpose. When
-// scale-out work replaces the single-flusher ring with per-consumer
-// cursors, the stale-view expectations below are the spec to flip: each
-// EXPECT marked "footgun:" should then assert fresh state instead.
+// Every consumer of a table's change log sees every delta: each
+// ViewCatalog and each external reader holds its own cursor
+// (core/change_log.h), so two catalogs on one World, a catalog beside any
+// other reader, and a catalog that outlives another all stay fresh.
 
 #include "core/change_log.h"
 
@@ -51,8 +44,7 @@ class ChangeLogMultiConsumerTest : public ::testing::Test {
 };
 
 // Baseline sanity: with exactly one consumer, deltas arrive exactly once
-// and maintenance converges. (If this fails, the footgun tests below are
-// meaningless.)
+// and maintenance converges.
 TEST_F(ChangeLogMultiConsumerTest, SingleCatalogSeesEveryDelta) {
   ViewCatalog catalog(&world);
   EntityId e = Spawn(80.0f);
@@ -65,43 +57,36 @@ TEST_F(ChangeLogMultiConsumerTest, SingleCatalogSeesEveryDelta) {
   EXPECT_EQ(catalog.stats().change_records, 1u);
 }
 
-// An external FlushChanges between the mutation and Maintain() consumes the
-// ring; the catalog's next Maintain sees an empty window and the view goes
-// stale even though the table state changed.
-TEST_F(ChangeLogMultiConsumerTest, ExternalFlushStarvesTheCatalog) {
+// An external reader between the mutation and Maintain() reads through its
+// own cursor; the catalog still sees the delta.
+TEST_F(ChangeLogMultiConsumerTest, ExternalReaderDoesNotStarveTheCatalog) {
   ViewCatalog catalog(&world);
   EntityId e = Spawn(80.0f);
   LiveView* view = catalog.Register(WoundedDef("wounded")).value();
+  ChangeLog& log = world.Table<Health>().changes();
+  ChangeLog::Cursor external = log.Open();
 
   Wound(e);
-  ChangeSet stolen;
-  world.Table<Health>().FlushChanges(&stolen);
-  ASSERT_EQ(stolen.updated.size(), 1u) << "external consumer got the delta";
+  ChangeSet seen;
+  log.Read(external, &seen);
+  ASSERT_EQ(seen.updated.size(), 1u) << "external reader got the delta";
 
   catalog.Maintain();
-  // footgun: the entity now matches the predicate but the view never heard.
-  EXPECT_FALSE(view->Contains(e))
-      << "current semantics: the externally-flushed delta is lost to the "
-         "catalog; if this now sees the entity, the ring grew per-consumer "
-         "cursors — flip this test into a freshness assertion";
-  EXPECT_EQ(catalog.stats().change_records, 0u);
+  EXPECT_TRUE(view->Contains(e)) << "and so did the catalog";
+  EXPECT_EQ(catalog.stats().change_records, 1u);
 
-  // The loss is permanent for that window, not just deferred: later
-  // windows only carry later mutations.
+  // Both go on seeing later mutations of the same row.
+  world.Patch<Health>(e, [](Health& h) { h.hp = 95.0f; });
+  log.Read(external, &seen);
+  EXPECT_EQ(seen.updated.size(), 1u);
   catalog.Maintain();
   EXPECT_FALSE(view->Contains(e));
-
-  // A later mutation of the same row does reach the catalog (the ring
-  // restarts empty after the steal) — stale, not wedged.
-  world.Patch<Health>(e, [](Health& h) { h.hp = 4.0f; });
-  catalog.Maintain();
-  EXPECT_TRUE(view->Contains(e));
+  log.Close(external);
 }
 
-// Two catalogs on one World: whoever Maintains first after a mutation
-// consumes the shared ring; the other catalog's dependent view misses the
-// transition. Maintenance order decides who is correct.
-TEST_F(ChangeLogMultiConsumerTest, TwoCatalogsStealEachOthersDeltas) {
+// Two catalogs on one World each read every delta, whichever maintains
+// first.
+TEST_F(ChangeLogMultiConsumerTest, TwoCatalogsEachSeeEveryDelta) {
   ViewCatalog first(&world);
   ViewCatalog second(&world);
   EntityId e = Spawn(80.0f);
@@ -111,65 +96,57 @@ TEST_F(ChangeLogMultiConsumerTest, TwoCatalogsStealEachOthersDeltas) {
   Wound(e);
   first.Maintain();
   second.Maintain();
+  EXPECT_TRUE(first_view->Contains(e));
+  EXPECT_TRUE(second_view->Contains(e));
+  EXPECT_EQ(second.stats().change_records, 1u);
 
-  EXPECT_TRUE(first_view->Contains(e)) << "the first flusher wins";
-  // footgun: the second catalog flushed an already-drained ring.
-  EXPECT_FALSE(second_view->Contains(e))
-      << "current semantics: the second catalog lost the delta; per-consumer "
-         "change cursors would make both views converge";
-  EXPECT_EQ(second.stats().change_records, 0u);
-
-  // Reverse the order for the next mutation: the winner flips, proving the
-  // data race is ordering, not catalog identity.
+  // Reverse the order for the next mutation: both see the exit.
   world.Patch<Health>(e, [](Health& h) { h.hp = 95.0f; });
   second.Maintain();
   first.Maintain();
-  EXPECT_FALSE(second_view->Contains(e)) << "now the second catalog is fresh";
-  EXPECT_TRUE(first_view->Contains(e))
-      << "footgun: the first catalog missed the exit transition and still "
-         "lists a healed entity as wounded";
+  EXPECT_FALSE(second_view->Contains(e));
+  EXPECT_FALSE(first_view->Contains(e));
+  EXPECT_EQ(world.Table<Health>().changes().size(), 0u)
+      << "both cursors read everything, so the log is empty";
 }
 
 // Registration itself populates from a full scan, so a brand-new catalog is
-// correct at birth even if another consumer has been draining the ring all
-// along — the footgun is confined to incremental maintenance.
+// correct at birth even though its cursor starts at the end of the log.
 TEST_F(ChangeLogMultiConsumerTest, RegistrationSnapshotIsUnaffected) {
   ViewCatalog drainer(&world);
   drainer.Register(WoundedDef("drain")).value();
   EntityId e = Spawn(80.0f);
   Wound(e);
-  drainer.Maintain();  // consumes the delta
+  drainer.Maintain();  // reads the delta
 
   ViewCatalog late(&world);
   LiveView* late_view = late.Register(WoundedDef("late")).value();
   EXPECT_TRUE(late_view->Contains(e))
-      << "Register() populates by scan, not from the (already drained) ring";
+      << "Register() populates by scan, not from the log";
 }
 
-// Destroying a catalog disables capture on its tables — which also discards
-// deltas a second catalog was counting on (the destructor cannot know
-// another flusher exists). Documented corollary of the ownership rule.
-TEST_F(ChangeLogMultiConsumerTest, CatalogTeardownDropsPendingDeltas) {
+// Destroying a catalog closes only its own cursors: a surviving catalog
+// still sees the deltas recorded before and after the teardown.
+TEST_F(ChangeLogMultiConsumerTest, CatalogTeardownKeepsTheSurvivorFresh) {
   ViewCatalog survivor(&world);
   LiveView* view = survivor.Register(WoundedDef("survivor")).value();
   EntityId e = Spawn(80.0f);
   {
     ViewCatalog doomed(&world);
     doomed.Register(WoundedDef("doomed")).value();
-    Wound(e);  // buffered in the shared ring
-  }  // ~ViewCatalog disables capture on Health, discarding the buffer
+    Wound(e);  // logged for both catalogs
+  }  // ~ViewCatalog closes the doomed catalog's cursor only
 
-  ASSERT_FALSE(world.Table<Health>().change_capture_enabled())
-      << "teardown disabled capture under the surviving catalog";
   survivor.Maintain();
-  // footgun: the surviving catalog never sees the wound.
-  EXPECT_FALSE(view->Contains(e));
+  EXPECT_TRUE(view->Contains(e)) << "the survivor sees the wound";
 
-  // And with capture now off, even future mutations go unseen until
-  // something re-enables it.
+  // Later mutations reach it too.
+  world.Patch<Health>(e, [](Health& h) { h.hp = 90.0f; });
+  survivor.Maintain();
+  EXPECT_FALSE(view->Contains(e));
   world.Patch<Health>(e, [](Health& h) { h.hp = 2.0f; });
   survivor.Maintain();
-  EXPECT_FALSE(view->Contains(e));
+  EXPECT_TRUE(view->Contains(e));
 }
 
 }  // namespace

@@ -79,36 +79,37 @@ TEST(SparseSetTest, VersionsIncreaseMonotonically) {
   uint64_t v3 = set.last_version();
   EXPECT_GT(v3, v1);
 
-  // b's insert and a's patch both occurred after v1.
-  std::vector<EntityId> changed;
-  set.ForEachChangedSince(v1, [&](EntityId e, const Hp&) {
-    changed.push_back(e);
-  });
-  EXPECT_EQ(changed.size(), 2u);
-
-  changed.clear();
-  set.ForEachChangedSince(v3, [&](EntityId e, const Hp&) {
-    changed.push_back(e);
-  });
-  EXPECT_TRUE(changed.empty());
+  // b's insert and a's patch both occurred after v1; nothing after v3.
+  size_t after_v1 = 0, after_v3 = 0;
+  for (size_t i = 0; i < set.Size(); ++i) {
+    after_v1 += set.VersionAt(i) > v1 ? 1 : 0;
+    after_v3 += set.VersionAt(i) > v3 ? 1 : 0;
+  }
+  EXPECT_EQ(after_v1, 2u);
+  EXPECT_EQ(after_v3, 0u);
 }
 
+// Erasures reach the change log as removal records, which a cursor walks
+// once; reading them drops them from the log.
 TEST(SparseSetTest, RemovedLogTracksErasures) {
   SparseSet<Hp> set;
   EntityId a(0, 0), b(1, 0);
   set.Set(a, Hp{1});
   set.Set(b, Hp{2});
-  uint64_t before = set.last_version();
+  ChangeLog::Cursor cursor = set.changes().Open();
+  set.Patch(b, [](Hp& hp) { hp.value = 3; });
   set.Erase(a);
   std::vector<EntityId> removed;
-  set.ForEachRemovedSince(before, [&](EntityId e) { removed.push_back(e); });
-  ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(removed[0], a);
+  set.changes().ForEachRemoval(cursor,
+                               [&](EntityId e) { removed.push_back(e); });
+  EXPECT_EQ(removed, std::vector<EntityId>{a});
+  EXPECT_EQ(set.changes().size(), 0u);
 
-  set.TrimRemovedLog(set.last_version());
   removed.clear();
-  set.ForEachRemovedSince(0, [&](EntityId e) { removed.push_back(e); });
+  set.changes().ForEachRemoval(cursor,
+                               [&](EntityId e) { removed.push_back(e); });
   EXPECT_TRUE(removed.empty());
+  set.changes().Close(cursor);
 }
 
 TEST(SparseSetTest, ObserversSeeAddUpdateRemove) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.h"
 #include "planner/planner.h"
@@ -284,6 +285,100 @@ TEST_F(SyncTest, InterestViewServersShareACatalogAcrossRestarts) {
   catalog.Maintain();
   ASSERT_TRUE(second.SyncAll(&stats).ok());
   EXPECT_TRUE(second.client(0).world().Has<Position>(ids[1]));
+}
+
+// A component removed and re-added between two syncs is a net update:
+// every delta strategy sends the new row and must not then erase it with
+// the removal, at that sync or any later one.
+TEST_F(SyncTest, RemoveThenReAddBetweenSyncsKeepsTheRow) {
+  planner::QueryPlanner planner(&server);
+  views::ViewCatalog catalog(&server, &planner);
+  std::vector<std::unique_ptr<SyncServer>> syncs;
+  for (SyncStrategy strategy :
+       {SyncStrategy::kDelta, SyncStrategy::kInterest,
+        SyncStrategy::kEventual, SyncStrategy::kInterestView}) {
+    SyncOptions opts;
+    opts.strategy = strategy;
+    opts.interest_radius = 1000.0f;  // the whole world is in interest
+    opts.period_ticks = 1;
+    opts.view_catalog = &catalog;
+    syncs.push_back(std::make_unique<SyncServer>(&server, opts));
+    syncs.back()->AddClient(ids[0]);
+  }
+  std::vector<SyncStats> stats;
+  auto sync_all = [&] {
+    server.AdvanceTick();
+    catalog.Maintain();
+    for (auto& sync : syncs) ASSERT_TRUE(sync->SyncAll(&stats).ok());
+  };
+  sync_all();
+  server.Remove<Health>(ids[5]);
+  server.Set(ids[5], Health{42, 100});
+  sync_all();
+  sync_all();
+
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    const World& replica = syncs[i]->client(0).world();
+    ASSERT_TRUE(replica.Has<Health>(ids[5])) << "strategy " << i;
+    EXPECT_EQ(replica.Get<Health>(ids[5])->hp, 42.0f) << "strategy " << i;
+    auto report = MeasureDivergence(server, replica);
+    EXPECT_EQ(report.missing_on_client, 0u) << "strategy " << i;
+    EXPECT_DOUBLE_EQ(report.position_rmse, 0.0) << "strategy " << i;
+    EXPECT_DOUBLE_EQ(report.hp_mean_abs_error, 0.0) << "strategy " << i;
+  }
+}
+
+// Spawns and destroys under a view catalog and three clients, one of which
+// logs out and back in: every server change log is empty after each sync
+// (each reader has read it all), and a client that logs in is sent no
+// removal from before it joined.
+TEST_F(SyncTest, ChangeLogsStayEmptyAcrossSyncsAndRelogins) {
+  planner::QueryPlanner planner(&server);
+  views::ViewCatalog catalog(&server, &planner);
+  SyncOptions opts;
+  opts.strategy = SyncStrategy::kInterestView;
+  opts.interest_radius = 60.0f;
+  opts.view_catalog = &catalog;
+  SyncServer sync(&server, opts);
+  sync.AddClient(ids[0]);
+  sync.AddClient(ids[10]);
+  size_t roamer = sync.AddClient(ids[19]);
+
+  Rng rng(5);
+  std::vector<EntityId> spawned;
+  std::vector<SyncStats> stats;
+  uint64_t removals = 0;
+  for (int tick = 0; tick < 40; ++tick) {
+    server.AdvanceTick();
+    for (int i = 0; i < 3; ++i) {
+      EntityId e = server.Create();
+      server.Set(e, Position{{rng.NextFloat(0, 190), 0, 0}});
+      server.Set(e, Health{50, 100});
+      spawned.push_back(e);
+    }
+    while (spawned.size() > 10) {
+      size_t k = rng.NextBounded(spawned.size());
+      server.Destroy(spawned[k]);
+      spawned[k] = spawned.back();
+      spawned.pop_back();
+    }
+    if (tick % 10 == 4) sync.RemoveClient(roamer);
+    const bool relogin = tick % 10 == 5;
+    if (relogin) roamer = sync.AddClient(ids[19]);
+
+    catalog.Maintain();
+    ASSERT_TRUE(sync.SyncAll(&stats).ok());
+    for (const SyncStats& s : stats) removals += s.removals_sent;
+    if (relogin) {
+      EXPECT_EQ(stats[roamer].removals_sent, 0u) << "tick " << tick;
+    }
+    server.ForEachStore([&](const TypeInfo& info, ComponentStore& store) {
+      EXPECT_EQ(store.changes().size(), 0u)
+          << info.name() << " tick " << tick;
+    });
+  }
+  EXPECT_GT(removals, 0u);  // destroys did reach the clients
+  EXPECT_EQ(sync.connected_count(), 3u);
 }
 
 TEST_F(SyncTest, MultipleClientsTrackIndependently) {

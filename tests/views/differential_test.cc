@@ -4,7 +4,8 @@
 // the same query". Covers the sequential direct-mutation path (planner on
 // AND off — delta maintenance must not care how queries execute) and the
 // ScriptHost path at 1 and 4 threads (deferred mutations, views maintained
-// at the host's quiescent point).
+// at the host's quiescent point). A two-catalog storm checks that every
+// catalog sees every delta.
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,17 @@ class Harness {
 
   World& world() { return world_; }
   ViewCatalog& catalog() { return *catalog_; }
+  /// A second catalog over the same World with the same definitions; its
+  /// views join the oracle's checks.
+  ViewCatalog& AddSecondCatalog() {
+    second_ = std::make_unique<ViewCatalog>(&world_, planner_.get());
+    for (const ViewDef& def : defs_) {
+      auto r = second_->Register(def);
+      GAMEDB_CHECK(r.ok());
+      views_.push_back(*r);
+    }
+    return *second_;
+  }
   QueryPlanner& planner() { return *planner_; }
   const std::vector<LiveView*>& views() const { return views_; }
 
@@ -210,6 +222,7 @@ class Harness {
 
  private:
   void Add(ViewDef def) {
+    defs_.push_back(def);
     auto r = catalog_->Register(std::move(def));
     GAMEDB_CHECK(r.ok());
     views_.push_back(*r);
@@ -258,6 +271,8 @@ class Harness {
   World world_;
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<ViewCatalog> catalog_;
+  std::unique_ptr<ViewCatalog> second_;
+  std::vector<ViewDef> defs_;
   std::vector<LiveView*> views_;
   std::vector<EntityId> live_;
 };
@@ -290,6 +305,39 @@ TEST_P(DifferentialTest, StormStaysBitIdenticalToFreshExecution) {
     h.CheckAll("tick " + std::to_string(tick));
     if (HasFatalFailure()) return;
   }
+}
+
+// Two catalogs with the same definitions on one World, maintained in
+// alternating order, with an external change-log reader between their
+// rounds: each reads through its own cursor, so every view of both stays
+// bit-identical to fresh execution every tick.
+TEST_P(DifferentialTest, TwoCatalogStormStaysBitIdenticalToFreshExecution) {
+  Harness h(GetParam());
+  ViewCatalog& second = h.AddSecondCatalog();
+  ChangeLog& health = h.world().Table<Health>().changes();
+  ChangeLog::Cursor external = health.Open();
+  ChangeSet seen;
+  Rng rng(20260727);
+  for (int i = 0; i < 40; ++i) h.Spawn(rng);
+  h.planner().Analyze();
+  for (int tick = 1; tick <= 120; ++tick) {
+    h.StormTick(rng);
+    if (tick % 7 == 0) {
+      const Vec3 center{rng.NextFloat(0, 100), 0, rng.NextFloat(0, 100)};
+      ASSERT_TRUE(h.catalog().Find("nearby_sturdy")->Recenter(center).ok());
+      ASSERT_TRUE(second.Find("nearby_sturdy")->Recenter(center).ok());
+    }
+    ViewCatalog& first_round = tick % 2 == 0 ? h.catalog() : second;
+    ViewCatalog& second_round = tick % 2 == 0 ? second : h.catalog();
+    first_round.Maintain();
+    health.Read(external, &seen);
+    second_round.Maintain();
+    h.CheckAll("tick " + std::to_string(tick));
+    if (HasFatalFailure()) break;
+  }
+  EXPECT_EQ(h.catalog().stats().change_records,
+            second.stats().change_records);
+  health.Close(external);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DifferentialTest,
