@@ -148,21 +148,27 @@ bool DynamicQuery::Matches(EntityId e) const {
     const ComponentStore* store = world_->StoreByIdIfExists(id);
     if (store == nullptr || !store->Contains(e)) return false;
   }
-  for (const auto& p : predicates_) {
-    const ComponentStore* store = world_->StoreByIdIfExists(p.type_id);
-    const void* comp = store->Find(e);
-    if (!CompareFieldValues(p.field->Get(comp), p.op, p.rhs)) return false;
+  for (size_t i = 0; i < predicates_.size(); ++i) {
+    if (!PredicateHolds(i, e)) return false;
   }
-  for (const auto& rp : radius_predicates_) {
-    const ComponentStore* store = world_->StoreByIdIfExists(rp.type_id);
-    const void* comp = store->Find(e);
-    FieldValue v = rp.field->Get(comp);
-    const Vec3* pos = std::get_if<Vec3>(&v);
-    if (pos == nullptr) return false;
-    if (pos->DistanceSquaredTo(rp.center) > rp.radius * rp.radius)
-      return false;
+  for (size_t i = 0; i < radius_predicates_.size(); ++i) {
+    if (!RadiusHolds(i, e)) return false;
   }
   return true;
+}
+
+bool DynamicQuery::PredicateHolds(size_t i, EntityId e) const {
+  const Predicate& p = predicates_[i];
+  const void* comp = world_->StoreByIdIfExists(p.type_id)->Find(e);
+  return CompareFieldValues(p.field->Get(comp), p.op, p.rhs);
+}
+
+bool DynamicQuery::RadiusHolds(size_t i, EntityId e) const {
+  const RadiusPredicate& rp = radius_predicates_[i];
+  FieldValue v = rp.field->Get(world_->StoreByIdIfExists(rp.type_id)->Find(e));
+  const Vec3* pos = std::get_if<Vec3>(&v);
+  return pos != nullptr &&
+         pos->DistanceSquaredTo(rp.center) <= rp.radius * rp.radius;
 }
 
 const ComponentStore* DynamicQuery::CanonicalDriver() const {

@@ -9,7 +9,10 @@
 ///  - DynamicQuery: runtime-typed query by component/field *names* with
 ///    comparison predicates and aggregate terminals. This is the query
 ///    facility exposed to GSL scripts and content tools — the "declarative
-///    processing" direction of the tutorial [11, 13].
+///    processing" direction of the tutorial [11, 13]. It is also the one
+///    evaluator of match semantics: the planner's filter tail calls its
+///    per-predicate checks and a LiveView re-evaluates candidates with its
+///    Matches.
 
 #include <cstdint>
 #include <functional>
@@ -23,26 +26,13 @@
 
 namespace gamedb {
 
-class QueryPlanHook;
-
 /// Statically-typed view over all entities that have every component in
-/// Ts... Iteration visits entities in the dense order of the chosen driver
-/// table: the smallest table by default, or the planner's cost-based pick
-/// when one is attached via SetPlanner (a raw-smallest table dominated by
-/// rows of dead entities can be the wrong driver; live-row statistics see
-/// that — planner/planner.h ChooseViewDriver).
+/// Ts... Iteration visits entities in the dense order of the smallest
+/// table (the earliest in Ts... on ties).
 template <typename... Ts>
 class View {
  public:
   explicit View(World& world) : world_(world) {}
-
-  /// Attaches (or detaches, with nullptr) a planner whose ChooseViewDriver
-  /// picks the driver table from table statistics. Only the iteration
-  /// order and cost change; the visited entity set is identical.
-  View& SetPlanner(QueryPlanHook* planner) {
-    planner_ = planner;
-    return *this;
-  }
 
   /// Calls fn(EntityId, Ts&...) for each matching entity. Adding or removing
   /// rows of the iterated tables from inside `fn` is undefined behaviour
@@ -55,7 +45,6 @@ class View {
     for (size_t i = 1; i < sizeof...(Ts); ++i) {
       if (sizes[i] < sizes[driver]) driver = i;
     }
-    driver = PlannedDriver(driver);
     DispatchDriver<0>(driver, tables, std::forward<Fn>(fn));
   }
 
@@ -74,10 +63,6 @@ class View {
   }
 
  private:
-  /// Lets the attached planner override the smallest-table driver choice.
-  /// Defined after QueryPlanHook below; instantiated only at call sites.
-  size_t PlannedDriver(size_t smallest);
-
   template <size_t I, typename Tables, typename Fn>
   void DispatchDriver(size_t driver, Tables& tables, Fn&& fn) {
     if constexpr (I < sizeof...(Ts)) {
@@ -105,7 +90,6 @@ class View {
   }
 
   World& world_;
-  QueryPlanHook* planner_ = nullptr;
 };
 
 /// Comparison operator for dynamic predicates.
@@ -136,27 +120,7 @@ class QueryPlanHook {
   /// Renders the plan that Execute would choose, with cardinality and cost
   /// estimates, as human-readable text.
   virtual Result<std::string> ExplainQuery(const DynamicQuery& q) = 0;
-
-  /// Driver choice for a statically-typed View<Ts...> join: given the
-  /// joined tables' type ids, returns the index of the table to iterate,
-  /// or kNoDriverPreference to keep the caller's smallest-table default.
-  /// Must be safe to call concurrently with other reads (View iteration
-  /// happens on query-phase shards).
-  static constexpr size_t kNoDriverPreference = static_cast<size_t>(-1);
-  virtual size_t ChooseViewDriver(const uint32_t* type_ids, size_t n) const {
-    (void)type_ids;
-    (void)n;
-    return kNoDriverPreference;
-  }
 };
-
-template <typename... Ts>
-size_t View<Ts...>::PlannedDriver(size_t smallest) {
-  if (planner_ == nullptr || !planner_->PlanningEnabled()) return smallest;
-  const uint32_t ids[] = {TypeRegistry::IdOf<Ts>()...};
-  size_t pick = planner_->ChooseViewDriver(ids, sizeof...(Ts));
-  return pick < sizeof...(Ts) ? pick : smallest;
-}
 
 /// Runtime-typed declarative query: components and fields addressed by name.
 ///
@@ -236,6 +200,29 @@ class DynamicQuery {
   /// estimates; without one it describes the built-in path.
   Result<std::string> Explain();
 
+  /// The deferred construction error (an unknown component or field name),
+  /// or OK: validates a query without running it.
+  const Status& status() const { return error_; }
+
+  // --- Match semantics ----------------------------------------------------
+  //
+  // The one definition of "does entity e match this query". The built-in
+  // path, every planned access path (planner/planner.cc) and LiveView
+  // maintenance (views/view.h) all decide membership through these checks.
+
+  /// True when `e` carries every required table and satisfies every
+  /// predicate. Does not check that `e` is alive.
+  bool Matches(EntityId e) const;
+
+  /// Predicate `i` of predicates() holds for `e`; `e` must carry that
+  /// predicate's table.
+  bool PredicateHolds(size_t i, EntityId e) const;
+
+  /// `e`'s position is within radius of radius_predicates()[i]'s center
+  /// (distance² <= radius², so a NaN coordinate is inside no radius); `e`
+  /// must carry that predicate's table. A non-Vec3 field never matches.
+  bool RadiusHolds(size_t i, EntityId e) const;
+
   // --- Read access for the planner (QueryPlanHook implementations) -------
 
   World* world() const { return world_; }
@@ -256,7 +243,6 @@ class DynamicQuery {
   const TypeInfo* ResolveComponent(std::string_view name);
   const FieldInfo* ResolveField(std::string_view component,
                                 std::string_view field, uint32_t* type_id);
-  bool Matches(EntityId e) const;
   /// The built-in access path: scan CanonicalDriver, filter everything.
   Status EachUnplanned(const std::function<void(EntityId)>& fn);
 

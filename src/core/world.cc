@@ -47,8 +47,8 @@ Status World::CreateWithId(EntityId id) {
 
 void World::Destroy(EntityId e) {
   if (!Alive(e)) return;
-  for (auto& [id, store] : stores_) {
-    store->Erase(e);
+  for (auto& store : stores_) {
+    if (store != nullptr) store->Erase(e);
   }
   alive_[e.index] = false;
   ++generations_[e.index];
@@ -71,46 +71,33 @@ ComponentStore* World::StoreByName(std::string_view name) {
 ComponentStore* World::StoreById(uint32_t type_id) {
   const TypeInfo* info = TypeRegistry::Global().Find(type_id);
   if (info == nullptr) return nullptr;
-  auto it = stores_.find(type_id);
-  if (it == stores_.end()) {
-    it = stores_.emplace(type_id, info->MakeStore()).first;
-  }
-  return it->second.get();
-}
-
-const ComponentStore* World::StoreByIdIfExists(uint32_t type_id) const {
-  auto it = stores_.find(type_id);
-  if (it == stores_.end()) return nullptr;
-  return it->second.get();
-}
-
-ComponentStore* World::StoreByIdIfExists(uint32_t type_id) {
-  auto it = stores_.find(type_id);
-  if (it == stores_.end()) return nullptr;
-  return it->second.get();
+  if (type_id >= stores_.size()) stores_.resize(type_id + 1);
+  std::unique_ptr<ComponentStore>& slot = stores_[type_id];
+  if (slot == nullptr) slot = info->MakeStore();
+  return slot.get();
 }
 
 void World::ForEachStore(
     const std::function<void(const TypeInfo&, ComponentStore&)>& fn) {
-  for (auto& [id, store] : stores_) {
-    const TypeInfo* info = TypeRegistry::Global().Find(id);
-    GAMEDB_DCHECK(info != nullptr);
-    fn(*info, *store);
+  for (uint32_t id = 0; id < stores_.size(); ++id) {
+    if (stores_[id] == nullptr) continue;
+    fn(*TypeRegistry::Global().Find(id), *stores_[id]);
   }
 }
 
 void World::ForEachStore(
     const std::function<void(const TypeInfo&, const ComponentStore&)>& fn)
     const {
-  for (const auto& [id, store] : stores_) {
-    const TypeInfo* info = TypeRegistry::Global().Find(id);
-    GAMEDB_DCHECK(info != nullptr);
-    fn(*info, *store);
+  for (uint32_t id = 0; id < stores_.size(); ++id) {
+    if (stores_[id] == nullptr) continue;
+    fn(*TypeRegistry::Global().Find(id), *stores_[id]);
   }
 }
 
 void World::Clear() {
-  for (auto& [id, store] : stores_) store->Clear();
+  for (auto& store : stores_) {
+    if (store != nullptr) store->Clear();
+  }
   for (uint32_t i = 0; i < generations_.size(); ++i) {
     if (alive_[i]) {
       alive_[i] = false;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -29,6 +28,12 @@ namespace gamedb {
 /// state-effect executor and the transaction managers provide the safe
 /// concurrency disciplines on top (see docs/ARCHITECTURE.md
 /// "Concurrency disciplines").
+///
+/// Tables live in a vector indexed by TypeRegistry id, so a table lookup is
+/// a bounds check and a load. Creating a table may grow that vector: no
+/// table may be created while other threads read the World (the scripted
+/// query phase creates every registered table first —
+/// ScriptHost::PrewarmStores). Store objects never move once created.
 class World {
  public:
   World() = default;
@@ -120,19 +125,15 @@ class World {
   SparseSet<T>& Table() {
     uint32_t id = TypeRegistry::IdOf<T>();
     GAMEDB_CHECK(id != 0xFFFFFFFFu);  // register the component type first
-    auto it = stores_.find(id);
-    if (it == stores_.end()) {
-      it = stores_.emplace(id, std::make_unique<SparseSet<T>>()).first;
-    }
-    return *static_cast<SparseSet<T>*>(it->second.get());
+    ComponentStore* store = StoreByIdIfExists(id);
+    if (store == nullptr) store = StoreById(id);
+    return *static_cast<SparseSet<T>*>(store);
   }
 
   template <typename T>
   const SparseSet<T>* TableIfExists() const {
-    uint32_t id = TypeRegistry::IdOf<T>();
-    auto it = stores_.find(id);
-    if (it == stores_.end()) return nullptr;
-    return static_cast<const SparseSet<T>*>(it->second.get());
+    return static_cast<const SparseSet<T>*>(
+        StoreByIdIfExists(TypeRegistry::IdOf<T>()));
   }
 
   // --- Components (reflective access) -----------------------------------
@@ -145,10 +146,15 @@ class World {
   ComponentStore* StoreById(uint32_t type_id);
 
   /// Store by id without creating; nullptr when the world has no such table.
-  const ComponentStore* StoreByIdIfExists(uint32_t type_id) const;
-  ComponentStore* StoreByIdIfExists(uint32_t type_id);
+  const ComponentStore* StoreByIdIfExists(uint32_t type_id) const {
+    return type_id < stores_.size() ? stores_[type_id].get() : nullptr;
+  }
+  ComponentStore* StoreByIdIfExists(uint32_t type_id) {
+    return type_id < stores_.size() ? stores_[type_id].get() : nullptr;
+  }
 
-  /// Iterates every existing table with its type metadata.
+  /// Iterates every existing table with its type metadata, in type-id
+  /// order.
   void ForEachStore(
       const std::function<void(const TypeInfo&, ComponentStore&)>& fn);
   void ForEachStore(
@@ -170,10 +176,8 @@ class World {
  private:
   template <typename T>
   SparseSet<T>* TableIfExistsMutable() {
-    uint32_t id = TypeRegistry::IdOf<T>();
-    auto it = stores_.find(id);
-    if (it == stores_.end()) return nullptr;
-    return static_cast<SparseSet<T>*>(it->second.get());
+    return static_cast<SparseSet<T>*>(
+        StoreByIdIfExists(TypeRegistry::IdOf<T>()));
   }
 
   std::vector<uint32_t> generations_;
@@ -181,7 +185,8 @@ class World {
   std::vector<uint32_t> free_list_;
   size_t alive_count_ = 0;
   uint64_t tick_ = 0;
-  std::unordered_map<uint32_t, std::unique_ptr<ComponentStore>> stores_;
+  /// Indexed by TypeRegistry id; nullptr where the table does not exist.
+  std::vector<std::unique_ptr<ComponentStore>> stores_;
 };
 
 }  // namespace gamedb

@@ -30,25 +30,6 @@ double DefaultSelectivity(CmpOp op) {
   }
 }
 
-/// Exactly the per-predicate check DynamicQuery::Matches performs.
-bool EvalPredicate(const World& world, const DynamicQuery::Predicate& p,
-                   EntityId e) {
-  const ComponentStore* store = world.StoreByIdIfExists(p.type_id);
-  const void* comp = store->Find(e);
-  return CompareFieldValues(p.field->Get(comp), p.op, p.rhs);
-}
-
-/// Exactly the per-radius-predicate check DynamicQuery::Matches performs.
-bool EvalRadius(const World& world, const DynamicQuery::RadiusPredicate& rp,
-                EntityId e) {
-  const ComponentStore* store = world.StoreByIdIfExists(rp.type_id);
-  const void* comp = store->Find(e);
-  FieldValue v = rp.field->Get(comp);
-  const Vec3* pos = std::get_if<Vec3>(&v);
-  if (pos == nullptr) return false;
-  return pos->DistanceSquaredTo(rp.center) <= rp.radius * rp.radius;
-}
-
 bool NumericRhs(const DynamicQuery::Predicate& p, double* out) {
   return FieldValueAsNumber(p.rhs, out) && !std::isnan(*out);
 }
@@ -132,6 +113,9 @@ struct QueryPlanner::SpatialIndexCache {
       FieldValue v = field->Get(store->ValueAt(i));
       const Vec3* p = std::get_if<Vec3>(&v);
       if (p == nullptr) continue;
+      // A NaN coordinate is inside no radius (DynamicQuery::RadiusHolds),
+      // and its box would poison node bounds and the median split.
+      if (std::isnan(p->x) || std::isnan(p->y) || std::isnan(p->z)) continue;
       entry->tree.Insert(store->EntityAt(i), Aabb::FromPoint(*p));
     }
     // Warm-up: force the lazy rebuild now, inside the build lock, so
@@ -685,8 +669,9 @@ std::vector<uint32_t> BuildProbeList(const DynamicQuery& q,
 
 /// Shared filter tail for every access path: alive check, membership
 /// probes (see BuildProbeList), field predicates in plan order, radius
-/// predicates. `rc` (nullable) receives EXPLAIN ANALYZE per-operator
-/// in/out row counts; its vectors are pre-sized by Execute.
+/// predicates — each predicate decided by the query's own
+/// PredicateHolds/RadiusHolds. `rc` (nullable) receives EXPLAIN ANALYZE
+/// per-operator in/out row counts; its vectors are pre-sized by Execute.
 bool SurvivesFilters(const World& world, const DynamicQuery& q,
                      const QueryPlan& plan, EntityId e,
                      const std::vector<uint32_t>& probes,
@@ -702,18 +687,18 @@ bool SurvivesFilters(const World& world, const DynamicQuery& q,
   for (int pi : plan.predicate_order) {
     const auto idx = static_cast<size_t>(pi);
     if (rc != nullptr) ++rc->predicate_in[idx];
-    if (!EvalPredicate(world, q.predicates()[idx], e)) return false;
+    if (!q.PredicateHolds(idx, e)) return false;
     if (rc != nullptr) ++rc->predicate_out[idx];
   }
   if (plan.access == AccessPath::kFieldIndex && plan.index_predicate >= 0) {
     const auto idx = static_cast<size_t>(plan.index_predicate);
     if (rc != nullptr) ++rc->predicate_in[idx];
-    if (!EvalPredicate(world, q.predicates()[idx], e)) return false;
+    if (!q.PredicateHolds(idx, e)) return false;
     if (rc != nullptr) ++rc->predicate_out[idx];
   }
   for (size_t i = 0; i < q.radius_predicates().size(); ++i) {
     if (rc != nullptr) ++rc->radius_in[i];
-    if (!EvalRadius(world, q.radius_predicates()[i], e)) return false;
+    if (!q.RadiusHolds(i, e)) return false;
     if (rc != nullptr) ++rc->radius_out[i];
   }
   return true;
@@ -853,35 +838,6 @@ Status QueryPlanner::ExecuteSpatialIndex(
   if (rc != nullptr) rc->output_rows += matches.size();
   for (const auto& [pos, e] : matches) fn(e);
   return Status::OK();
-}
-
-size_t QueryPlanner::ChooseViewDriver(const uint32_t* type_ids,
-                                      size_t n) const {
-  if (n <= 1) return 0;
-  const CostConstants& c = options_.costs;
-  size_t best = 0;
-  double best_cost = kInf;
-  for (size_t i = 0; i < n; ++i) {
-    double raw, live;
-    const TableStats* t = stats_.Table(type_ids[i]);
-    if (t != nullptr) {
-      raw = static_cast<double>(t->rows);
-      live = static_cast<double>(t->live_rows);
-    } else {
-      // Never analyzed: fall back to the current size, assumed fully live
-      // (exactly the built-in smallest-table behaviour).
-      const ComponentStore* store = world_->StoreByIdIfExists(type_ids[i]);
-      raw = store != nullptr ? static_cast<double>(store->Size()) : 0.0;
-      live = raw;
-    }
-    double cost = raw * c.scan_row +
-                  live * static_cast<double>(n - 1) * c.probe_table;
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  return best;
 }
 
 PairJoinPlan QueryPlanner::PlanPairJoin(size_t n, float radius,

@@ -16,9 +16,12 @@
 ///
 /// Correctness contract: with the planner attached and enabled
 /// (PlannerPolicy::kOn), every DynamicQuery produces bit-identical results
-/// — same entities, same order — as the built-in path (kOff). Planned
-/// access paths that enumerate in index order buffer their matches and
-/// re-sort them into the canonical driver's dense order before emitting.
+/// — same entities, same order — as the built-in path (kOff). Indexes only
+/// prune: every access path decides each predicate with the query's own
+/// DynamicQuery::PredicateHolds/RadiusHolds, the checks the built-in path
+/// matches with. Planned access paths that enumerate in index order buffer
+/// their matches and re-sort them into the canonical driver's dense order
+/// before emitting.
 
 #include <atomic>
 #include <cstdint>
@@ -143,16 +146,6 @@ class QueryPlanner final : public QueryPlanHook {
   /// calls it before each parallel query phase, before any (possibly
   /// concurrent) query of the tick plans.
   void OnQuiescent() { MaybeRefreshStats(); }
-
-  /// View<Ts...> driver choice from live-row statistics. Cost of driving
-  /// from table D: every raw row pays the scan visit (rows of dead
-  /// entities are skipped by a cheap alive check but still walked), and
-  /// only live rows pay the (n-1) membership probes of the other tables —
-  /// so a raw-smallest table dominated by dead rows loses to a slightly
-  /// larger fully-live one. Earliest index wins ties (the built-in
-  /// heuristic's tie-break). Thread-safe against concurrent reads.
-  size_t ChooseViewDriver(const uint32_t* type_ids,
-                          size_t n) const override;
 
   // --- Plan surface (benchmarks, tests) -----------------------------------
 

@@ -102,9 +102,6 @@ void WorldStats::Analyze(const World& world) {
     TableStats ts;
     ts.type_id = info.id();
     ts.rows = store.Size();
-    for (size_t i = 0; i < store.Size(); ++i) {
-      if (world.Alive(store.EntityAt(i))) ++ts.live_rows;
-    }
 
     for (const FieldInfo& field : info.fields()) {
       const bool is_vec3 = field.type() == FieldType::kVec3;
@@ -249,11 +246,6 @@ const SpatialFieldStats* WorldStats::Spatial(uint32_t type_id,
 double WorldStats::EstimateRows(uint32_t type_id) const {
   const TableStats* t = Table(type_id);
   return t == nullptr ? 0.0 : static_cast<double>(t->rows);
-}
-
-double WorldStats::EstimateLiveRows(uint32_t type_id) const {
-  const TableStats* t = Table(type_id);
-  return t == nullptr ? 0.0 : static_cast<double>(t->live_rows);
 }
 
 std::string WorldStats::ToString() const {

@@ -63,12 +63,6 @@ struct SpatialFieldStats {
 struct TableStats {
   uint32_t type_id = 0;
   size_t rows = 0;  ///< row count at analyze time
-  /// Rows whose entity was alive at analyze time. Tables written through
-  /// the raw SparseSet API (hot loops, systems applying buffered batches
-  /// with stale ids) can hold rows of dead entities; those rows cost scan
-  /// time but never join, so the View driver cost model weighs tables by
-  /// live rows, not raw size.
-  size_t live_rows = 0;
   /// Keyed by field name; numeric fields only.
   std::unordered_map<std::string, FieldStats> fields;
   /// Keyed by field name; Vec3 fields only.
@@ -117,10 +111,6 @@ class WorldStats {
 
   /// Estimated rows of a table: analyzed count, 0 when never seen.
   double EstimateRows(uint32_t type_id) const;
-
-  /// Estimated live rows (entity alive at analyze time); 0 when never
-  /// seen. Always <= EstimateRows for the same epoch.
-  double EstimateLiveRows(uint32_t type_id) const;
 
   const StatsOptions& options() const { return options_; }
 

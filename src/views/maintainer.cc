@@ -17,8 +17,6 @@ Result<LiveView*> ViewCatalog::Register(ViewDef def) {
   std::unique_ptr<LiveView> view(
       new LiveView(world_, planner_, std::move(def)));
   GAMEDB_RETURN_NOT_OK(view->Resolve());
-  // Dependency tables exist from here on (StoreById creates them), so the
-  // view's Matches and a fresh DynamicQuery agree on store lookups.
   const std::vector<uint32_t>& deps = view->dependencies();
   const size_t tables_before = tables_.size();
   for (uint32_t id : deps) {
@@ -29,7 +27,6 @@ Result<LiveView*> ViewCatalog::Register(ViewDef def) {
       tables_.push_back(Table{id, store->changes().Open(), {}});
     }
   }
-  view->CacheStores();  // stores exist now; Matches resolves them once
   Status populated = view->Repopulate();
   if (!populated.ok()) {
     // Honor the "unchanged on failure" contract: close only the cursors

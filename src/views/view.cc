@@ -24,67 +24,41 @@ const char* AggKindName(AggKind k) {
   return "?";
 }
 
+void LiveView::BuildQuery() {
+  query_ = DynamicQuery(world_);
+  query_.SetPlanner(planner_);
+  for (const std::string& component : def_.with) query_.With(component);
+  for (const ViewDef::Where& w : def_.where) {
+    query_.WhereField(w.component, w.field, w.op, w.rhs);
+  }
+  if (def_.has_near) {
+    query_.WithinRadius(def_.near.component, def_.near.field,
+                        def_.near.center, def_.near.radius);
+  }
+  if (def_.aggregate != AggKind::kNone) query_.With(def_.agg_component);
+}
+
 Status LiveView::Resolve() {
   if (def_.name.empty()) {
     return Status::InvalidArgument("a LiveView needs a non-empty name");
   }
-  const TypeRegistry& reg = TypeRegistry::Global();
-  auto resolve_component = [&](const std::string& name,
-                               const TypeInfo** out) -> Status {
-    *out = reg.FindByName(name);
-    if (*out == nullptr) {
-      return Status::NotFound("unknown component: " + name);
-    }
-    return Status::OK();
-  };
-  auto resolve_field = [&](const std::string& component,
-                           const std::string& field, uint32_t* type_id,
-                           const FieldInfo** out) -> Status {
-    const TypeInfo* info = nullptr;
-    GAMEDB_RETURN_NOT_OK(resolve_component(component, &info));
-    *type_id = info->id();
-    *out = info->FindField(field);
-    if (*out == nullptr) {
-      return Status::NotFound("unknown field: " + component + "." + field);
-    }
-    return Status::OK();
-  };
-
-  // Build the required/predicate lists in exactly the order constructing
-  // the equivalent DynamicQuery would (With..., WhereField..., WithinRadius,
-  // aggregate component last) — the canonical driver tie-break depends on
-  // this order.
-  for (const std::string& component : def_.with) {
-    const TypeInfo* info = nullptr;
-    GAMEDB_RETURN_NOT_OK(resolve_component(component, &info));
-    required_.push_back(info->id());
-  }
-  for (const ViewDef::Where& w : def_.where) {
-    uint32_t type_id = 0;
-    const FieldInfo* f = nullptr;
-    GAMEDB_RETURN_NOT_OK(resolve_field(w.component, w.field, &type_id, &f));
-    required_.push_back(type_id);
-    predicates_.push_back(DynamicQuery::Predicate{type_id, f, w.op, w.rhs});
-  }
-  if (def_.has_near) {
-    uint32_t type_id = 0;
-    const FieldInfo* f = nullptr;
-    GAMEDB_RETURN_NOT_OK(resolve_field(def_.near.component, def_.near.field,
-                                       &type_id, &f));
-    required_.push_back(type_id);
-    radius_predicates_.push_back(DynamicQuery::RadiusPredicate{
-        type_id, f, def_.near.center, def_.near.radius});
-  }
+  BuildQuery();
+  GAMEDB_RETURN_NOT_OK(query_.status());
   if (def_.aggregate != AggKind::kNone) {
-    GAMEDB_RETURN_NOT_OK(resolve_field(def_.agg_component, def_.agg_field,
-                                       &agg_type_, &agg_field_));
-    required_.push_back(agg_type_);
+    const TypeInfo* info =
+        TypeRegistry::Global().FindByName(def_.agg_component);
+    agg_type_ = info->id();
+    agg_field_ = info->FindField(def_.agg_field);
+    if (agg_field_ == nullptr) {
+      return Status::NotFound("unknown field: " + def_.agg_component + "." +
+                              def_.agg_field);
+    }
   }
-  if (required_.empty()) {
+  if (query_.required().empty()) {
     return Status::InvalidArgument("view '" + def_.name +
                                    "' has no component constraint");
   }
-  for (uint32_t id : required_) {
+  for (uint32_t id : query_.required()) {
     if (std::find(deps_.begin(), deps_.end(), id) == deps_.end()) {
       deps_.push_back(id);
     }
@@ -92,92 +66,10 @@ Status LiveView::Resolve() {
   return Status::OK();
 }
 
-Status LiveView::RunQuery(std::vector<EntityId>* out) const {
-  DynamicQuery q(world_);
-  q.SetPlanner(planner_);
-  for (const std::string& component : def_.with) q.With(component);
-  for (const ViewDef::Where& w : def_.where) {
-    q.WhereField(w.component, w.field, w.op, w.rhs);
-  }
-  if (def_.has_near) {
-    q.WithinRadius(def_.near.component, def_.near.field, def_.near.center,
-                   def_.near.radius);
-  }
-  if (def_.aggregate != AggKind::kNone) q.With(def_.agg_component);
-  return q.Each([out](EntityId e) { out->push_back(e); });
-}
-
-const ComponentStore* LiveView::CanonicalDriver() const {
-  // Duplicates in required_ can't change the pick (a later equal-size
-  // duplicate never beats the earlier occurrence), so the deduplicated
-  // cached stores reproduce DynamicQuery::CanonicalDriver exactly —
-  // without per-call map lookups (this runs inside the Members() cache
-  // validity check, a parallel-phase hot path).
-  const ComponentStore* driver = nullptr;
-  if (!dep_stores_.empty()) {
-    for (const ComponentStore* store : dep_stores_) {
-      if (driver == nullptr || store->Size() < driver->Size()) driver = store;
-    }
-    return driver;
-  }
-  for (uint32_t id : required_) {  // pre-CacheStores fallback
-    const ComponentStore* store = world_->StoreByIdIfExists(id);
-    if (store == nullptr) return nullptr;
-    if (driver == nullptr || store->Size() < driver->Size()) driver = store;
-  }
-  return driver;
-}
-
-void LiveView::CacheStores() {
-  auto store_of = [&](uint32_t id) {
-    const ComponentStore* store = world_->StoreByIdIfExists(id);
-    GAMEDB_CHECK(store != nullptr);  // ViewCatalog created it at Register
-    return store;
-  };
-  dep_stores_.clear();
-  predicate_stores_.clear();
-  radius_stores_.clear();
-  for (uint32_t id : deps_) dep_stores_.push_back(store_of(id));
-  for (const auto& p : predicates_) {
-    predicate_stores_.push_back(store_of(p.type_id));
-  }
-  for (const auto& rp : radius_predicates_) {
-    radius_stores_.push_back(store_of(rp.type_id));
-  }
-  if (def_.aggregate != AggKind::kNone) agg_store_ = store_of(agg_type_);
-}
-
-bool LiveView::Matches(EntityId e) const {
-  // Mirrors DynamicQuery::Matches bit for bit — the differential contract
-  // depends on these two agreeing on every edge (non-Vec3 position values,
-  // FieldValue comparison semantics). The only divergence is mechanical:
-  // the per-table store lookups are pre-resolved (CacheStores), which the
-  // registration-time store creation makes equivalent.
-  for (const ComponentStore* store : dep_stores_) {
-    if (!store->Contains(e)) return false;
-  }
-  for (size_t i = 0; i < predicates_.size(); ++i) {
-    const auto& p = predicates_[i];
-    const void* comp = predicate_stores_[i]->Find(e);
-    if (!CompareFieldValues(p.field->Get(comp), p.op, p.rhs)) return false;
-  }
-  for (size_t i = 0; i < radius_predicates_.size(); ++i) {
-    const auto& rp = radius_predicates_[i];
-    const void* comp = radius_stores_[i]->Find(e);
-    FieldValue v = rp.field->Get(comp);
-    const Vec3* pos = std::get_if<Vec3>(&v);
-    if (pos == nullptr) return false;
-    if (pos->DistanceSquaredTo(rp.center) > rp.radius * rp.radius) {
-      return false;
-    }
-  }
-  return true;
-}
-
 const std::vector<EntityId>& LiveView::Members() const {
   auto valid = [this]() {
     return !sorted_dirty_ && sorted_driver_ != nullptr &&
-           sorted_driver_ == CanonicalDriver() &&
+           sorted_driver_ == query_.CanonicalDriver() &&
            sorted_driver_->last_version() == sorted_driver_version_;
   };
   {
@@ -186,7 +78,7 @@ const std::vector<EntityId>& LiveView::Members() const {
   }
   std::unique_lock<std::shared_mutex> lock(sort_mu_);
   if (valid()) return sorted_;
-  const ComponentStore* driver = CanonicalDriver();
+  const ComponentStore* driver = query_.CanonicalDriver();
   sorted_.clear();
   sorted_.reserve(members_.size());
   if (driver != nullptr) {
@@ -224,10 +116,11 @@ Result<double> LiveView::Aggregate() const {
   }
   // Exactly DynamicQuery's NumericFold, folded in canonical member order,
   // so floating-point rounding matches a fresh terminal bit for bit.
+  const ComponentStore* store = world_->StoreByIdIfExists(agg_type_);
   double sum = 0.0, mn = 0.0, mx = 0.0;
   int64_t n = 0;
   for (EntityId e : Members()) {
-    FieldValue v = agg_field_->Get(agg_store_->Find(e));
+    FieldValue v = agg_field_->Get(store->Find(e));
     double num = 0.0;
     if (!FieldValueAsNumber(v, &num)) continue;
     if (n == 0 || num < mn) mn = num;
@@ -255,7 +148,7 @@ Result<double> LiveView::Aggregate() const {
 }
 
 bool LiveView::AggValue(EntityId e, double* out) const {
-  const void* comp = agg_store_->Find(e);
+  const void* comp = world_->StoreByIdIfExists(agg_type_)->Find(e);
   if (comp == nullptr) return false;
   FieldValue v = agg_field_->Get(comp);
   // NaN would wedge the running sum (sum - NaN never recovers) and break
@@ -324,7 +217,7 @@ void LiveView::ApplyCandidates() {
 void LiveView::Reevaluate(EntityId e) {
   ++stats_.reevaluated;
   const bool is_member = members_.count(e.Raw()) > 0;
-  const bool match = world_->Alive(e) && Matches(e);
+  const bool match = world_->Alive(e) && query_.Matches(e);
   if (match && !is_member) {
     Enter(e);
   } else if (!match && is_member) {
@@ -373,7 +266,8 @@ void LiveView::Update(EntityId e) {
 
 Status LiveView::Repopulate() {
   std::vector<EntityId> fresh;
-  GAMEDB_RETURN_NOT_OK(RunQuery(&fresh));
+  GAMEDB_RETURN_NOT_OK(
+      query_.Each([&fresh](EntityId e) { fresh.push_back(e); }));
   ++stats_.repopulations;
   std::unordered_set<uint64_t> fresh_set;
   fresh_set.reserve(fresh.size());
@@ -403,7 +297,7 @@ Status LiveView::Repopulate() {
     if (members_.count(e.Raw()) == 0) Enter(e);
   }
   // The fresh result *is* the canonical order — seed the sort cache.
-  const ComponentStore* driver = CanonicalDriver();
+  const ComponentStore* driver = query_.CanonicalDriver();
   std::unique_lock<std::shared_mutex> lock(sort_mu_);
   sorted_ = std::move(fresh);
   sorted_driver_ = driver;
@@ -420,14 +314,14 @@ Status LiveView::Recenter(const Vec3& center) {
   if (def_.near.center == center) return Status::OK();
   const Vec3 old_center = def_.near.center;
   def_.near.center = center;
-  radius_predicates_.front().center = center;
+  BuildQuery();
   Status st = Repopulate();
   if (!st.ok()) {
     // A failed repopulate fails before touching membership (the query
     // errors out pre-diff); restore the old center so the same-center
     // early-return above can't mask stale membership as success.
     def_.near.center = old_center;
-    radius_predicates_.front().center = old_center;
+    BuildQuery();
   }
   return st;
 }

@@ -15,11 +15,14 @@
 /// of re-scanned. A LiveView is that artifact; E14 measures the re-scan vs
 /// maintenance crossover.
 ///
-/// Correctness contract (enforced by tests/views/differential_test.cc):
-/// after any sequence of tracked mutations followed by maintenance, a
-/// LiveView's membership, iteration order and Aggregate() value are
-/// bit-identical to a from-scratch planner execution of the same
-/// DynamicQuery. Writes that bypass change tracking
+/// A LiveView holds the DynamicQuery it was registered as: population runs
+/// that query (through the planner) and maintenance re-evaluates each
+/// candidate with its DynamicQuery::Matches, so match semantics agree with
+/// fresh execution by construction. tests/views/differential_test.cc
+/// checks the rest of the contract: after any sequence of tracked
+/// mutations followed by maintenance, a LiveView's membership, iteration
+/// order and Aggregate() value are bit-identical to a from-scratch
+/// execution of the same query. Writes that bypass change tracking
 /// (GetMutableUntracked without Touch) are invisible — the same contract
 /// maintained aggregates (core/aggregate.h) live with.
 ///
@@ -214,21 +217,17 @@ class LiveView {
   friend class ViewCatalog;
 
   LiveView(World* world, QueryPlanHook* planner, ViewDef def)
-      : world_(world), planner_(planner), def_(std::move(def)) {}
+      : world_(world), planner_(planner), def_(std::move(def)),
+        query_(world) {}
 
-  /// Resolves names against the TypeRegistry; builds required/predicate
-  /// lists mirroring DynamicQuery construction order.
+  /// Builds query_ from def_ in DynamicQuery construction order (With...,
+  /// WhereField..., WithinRadius, aggregate component last): the canonical
+  /// driver's tie-break depends on this order.
+  void BuildQuery();
+
+  /// Builds and validates the query, resolves the aggregate field and the
+  /// dependency list.
   Status Resolve();
-
-  /// Exactly DynamicQuery::Matches over the resolved constraints.
-  bool Matches(EntityId e) const;
-
-  /// Runs the view's query as a DynamicQuery through the planner hook.
-  Status RunQuery(std::vector<EntityId>* out) const;
-
-  /// The store a fresh execution would drive from (smallest required
-  /// table, earliest in construction order on ties).
-  const ComponentStore* CanonicalDriver() const;
 
   // Delta application (ViewCatalog::Maintain).
   void MarkCandidate(EntityId e);
@@ -253,32 +252,15 @@ class LiveView {
   void AggAdd(EntityId e);
   void AggRemove(EntityId e);
 
-  /// Resolves the stores behind required_/predicates_ once (ViewCatalog
-  /// creates them before populating); Matches runs against these cached
-  /// pointers instead of paying a map lookup per table per candidate.
-  /// Store objects are stable for the life of a World.
-  void CacheStores();
-
   World* world_;
   QueryPlanHook* planner_;
   ViewDef def_;
 
-  // Resolved query (mirrors DynamicQuery's internal lists).
-  std::vector<uint32_t> required_;  // construction order, with duplicates
-  std::vector<DynamicQuery::Predicate> predicates_;
-  std::vector<DynamicQuery::RadiusPredicate> radius_predicates_;
-  std::vector<uint32_t> deps_;  // required_, deduplicated
+  /// The query def_ describes, attached to planner_.
+  DynamicQuery query_;
+  std::vector<uint32_t> deps_;  // query_.required(), deduplicated
   uint32_t agg_type_ = 0;
   const FieldInfo* agg_field_ = nullptr;
-
-  // Resolved store pointers (CacheStores): dep_stores_ parallels deps_
-  // (deduplicated, first-occurrence order — equivalent to required_ for
-  // both the Contains pass and the smallest-table/earliest-tie driver
-  // choice); the predicate/radius lists parallel their predicate vectors.
-  std::vector<const ComponentStore*> dep_stores_;
-  std::vector<const ComponentStore*> predicate_stores_;
-  std::vector<const ComponentStore*> radius_stores_;
-  const ComponentStore* agg_store_ = nullptr;
 
   // Membership.
   std::unordered_set<uint64_t> members_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/rng.h"
@@ -231,6 +232,7 @@ TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
 
   std::vector<SyncStats> scan_stats, view_stats;
   size_t crossings = 0;
+  EntityId nan_npc;  // an NPC inside the radius whose z becomes NaN
   for (int tick = 0; tick < 16; ++tick) {
     server.AdvanceTick();
     for (size_t i = 1; i < ids.size(); ++i) {
@@ -238,6 +240,17 @@ TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
         const bool inside = p.value.x <= 25.0f;
         p.value.x = std::max(0.0f, p.value.x + rng.NextFloat(-15, 15));
         crossings += inside != (p.value.x <= 25.0f) ? 1 : 0;
+      });
+    }
+    if (tick == 8) {
+      for (size_t i = 1; i < ids.size() && !nan_npc.valid(); ++i) {
+        if (scan_sync.client(0).world().Has<Position>(ids[i])) {
+          nan_npc = ids[i];
+        }
+      }
+      ASSERT_TRUE(nan_npc.valid());
+      server.Patch<Position>(nan_npc, [](Position& p) {
+        p.value.z = std::numeric_limits<float>::quiet_NaN();
       });
     }
     ASSERT_TRUE(scan_sync.SyncAll(&scan_stats).ok());
@@ -255,6 +268,11 @@ TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
       if (a.Has<Position>(e)) {
         EXPECT_EQ(a.Get<Position>(e)->value, b.Get<Position>(e)->value);
       }
+    }
+    if (nan_npc.valid()) {
+      // A NaN position is inside no radius: both replicas drop it.
+      EXPECT_FALSE(a.Has<Position>(nan_npc)) << "tick " << tick;
+      EXPECT_FALSE(b.Has<Position>(nan_npc)) << "tick " << tick;
     }
   }
   EXPECT_GT(crossings, 0u);  // the radius was actually crossed

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -156,9 +157,13 @@ class Harness {
         case 5:
         case 6:
           if (world_.Has<Position>(e)) {
+            // 5% of moves write a NaN z: inside no radius, however the
+            // query runs.
+            const bool nan_z = rng.NextBool(0.05);
             world_.Patch<Position>(e, [&](Position& p) {
               p.value.x += rng.NextFloat(-15, 15);
               p.value.z += rng.NextFloat(-15, 15);
+              if (nan_z) p.value.z = std::numeric_limits<float>::quiet_NaN();
             });
           } else {
             world_.Set(e, Position{{rng.NextFloat(0, 100), 0,
