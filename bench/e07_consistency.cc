@@ -9,8 +9,18 @@
 // at a fraction of the bytes; interest cuts bytes by the visibility ratio
 // at the cost of global awareness; eventual trades bounded staleness for
 // the lowest byte rate.
+//
+// The counters (`bytes/tick/client`, `bytes/tick`, `pos_rmse_*`) come from
+// a second, identically seeded shard run for kCountedTicks ticks outside
+// the timed loop, so every run prints the same counters whatever iteration
+// count Google Benchmark picks.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "replication/divergence.h"
 #include "replication/sync.h"
@@ -21,45 +31,85 @@ namespace {
 using namespace gamedb;               // NOLINT
 using namespace gamedb::replication;  // NOLINT
 
-void BM_SyncStrategy(benchmark::State& state) {
-  auto strategy = static_cast<SyncStrategy>(state.range(0));
+constexpr int kCountedTicks = 60;
+
+txn::WorkloadOptions ShardWorkload() {
   txn::WorkloadOptions wopts;
   wopts.num_entities = 2000;
   wopts.area_extent = 1000.0f;
   wopts.max_speed = 8.0f;
-  txn::MmoWorkload workload(wopts);
+  return wopts;
+}
 
-  SyncOptions sopts;
-  sopts.strategy = strategy;
-  sopts.interest_radius = 100.0f;
-  sopts.period_ticks = 10;
-  SyncServer sync(&workload.world(), sopts);
-  const size_t kClients = 8;
-  for (size_t c = 0; c < kClients; ++c) {
-    sync.AddClient(workload.entities()[c * 37]);
+/// The moving shard both benchmarks sync, with `clients` clients.
+struct Shard {
+  Shard(const SyncOptions& sopts, size_t clients)
+      : workload(ShardWorkload()), sync(&workload.world(), sopts) {
+    for (size_t c = 0; c < clients; ++c) {
+      sync.AddClient(workload.entities()[c * 37]);
+    }
   }
 
-  uint64_t total_bytes = 0, ticks = 0;
-  double divergence_sum = 0, divergence_max = 0;
-  std::vector<SyncStats> stats;
-  for (auto _ : state) {
+  /// One tick: move, sync every client, then sample client 0's position
+  /// RMSE into `*rmse`. Returns the bytes sent to all clients.
+  uint64_t Tick(double* rmse) {
     workload.AdvancePositions(0.05f);
     workload.world().AdvanceTick();
     Status st = sync.SyncAll(&stats);
     GAMEDB_CHECK(st.ok());
-    for (const auto& s : stats) total_bytes += s.bytes_sent;
-    // Divergence sampled every tick on client 0.
-    auto report =
-        MeasureDivergence(workload.world(), sync.client(0).world());
-    divergence_sum += report.position_rmse;
-    divergence_max = std::max(divergence_max, report.position_rmse);
-    ++ticks;
+    uint64_t bytes = 0;
+    for (const auto& s : stats) bytes += s.bytes_sent;
+    *rmse = MeasureDivergence(workload.world(), sync.client(0).world())
+                .position_rmse;
+    return bytes;
   }
-  state.counters["bytes/tick/client"] = benchmark::Counter(
-      ticks ? double(total_bytes) / double(ticks) / kClients : 0);
+
+  txn::MmoWorkload workload;
+  SyncServer sync;
+  std::vector<SyncStats> stats;
+};
+
+/// Totals over kCountedTicks ticks of a fresh shard.
+struct Counted {
+  uint64_t bytes = 0;
+  double rmse_sum = 0;
+  double rmse_max = 0;
+};
+
+Counted CountTicks(const SyncOptions& sopts, size_t clients) {
+  Shard shard(sopts, clients);
+  Counted c;
+  for (int t = 0; t < kCountedTicks; ++t) {
+    double rmse = 0;
+    c.bytes += shard.Tick(&rmse);
+    c.rmse_sum += rmse;
+    c.rmse_max = std::max(c.rmse_max, rmse);
+  }
+  return c;
+}
+
+void BM_SyncStrategy(benchmark::State& state) {
+  auto strategy = static_cast<SyncStrategy>(state.range(0));
+  SyncOptions sopts;
+  sopts.strategy = strategy;
+  sopts.interest_radius = 100.0f;
+  sopts.period_ticks = 10;
+  const size_t kClients = 8;
+  Shard shard(sopts, kClients);
+
+  for (auto _ : state) {
+    // Divergence sampled every tick on client 0.
+    double rmse = 0;
+    benchmark::DoNotOptimize(shard.Tick(&rmse));
+    benchmark::DoNotOptimize(rmse);
+  }
+
+  Counted c = CountTicks(sopts, kClients);
+  state.counters["bytes/tick/client"] =
+      benchmark::Counter(double(c.bytes) / kCountedTicks / kClients);
   state.counters["pos_rmse_avg"] =
-      benchmark::Counter(ticks ? divergence_sum / double(ticks) : 0);
-  state.counters["pos_rmse_max"] = benchmark::Counter(divergence_max);
+      benchmark::Counter(c.rmse_sum / kCountedTicks);
+  state.counters["pos_rmse_max"] = benchmark::Counter(c.rmse_max);
   state.SetLabel(SyncStrategyName(strategy));
 }
 BENCHMARK(BM_SyncStrategy)
@@ -71,34 +121,21 @@ BENCHMARK(BM_SyncStrategy)
 
 void BM_EventualPeriodSweep(benchmark::State& state) {
   // The staleness dial: longer periods, fewer bytes, more drift.
-  txn::WorkloadOptions wopts;
-  wopts.num_entities = 2000;
-  wopts.area_extent = 1000.0f;
-  wopts.max_speed = 8.0f;
-  txn::MmoWorkload workload(wopts);
-
   SyncOptions sopts;
   sopts.strategy = SyncStrategy::kEventual;
   sopts.period_ticks = uint32_t(state.range(0));
-  SyncServer sync(&workload.world(), sopts);
-  sync.AddClient(workload.entities()[0]);
+  Shard shard(sopts, 1);
 
-  uint64_t total_bytes = 0, ticks = 0;
-  double divergence_max = 0;
-  std::vector<SyncStats> stats;
   for (auto _ : state) {
-    workload.AdvancePositions(0.05f);
-    workload.world().AdvanceTick();
-    GAMEDB_CHECK(sync.SyncAll(&stats).ok());
-    total_bytes += stats[0].bytes_sent;
-    auto report =
-        MeasureDivergence(workload.world(), sync.client(0).world());
-    divergence_max = std::max(divergence_max, report.position_rmse);
-    ++ticks;
+    double rmse = 0;
+    benchmark::DoNotOptimize(shard.Tick(&rmse));
+    benchmark::DoNotOptimize(rmse);
   }
+
+  Counted c = CountTicks(sopts, 1);
   state.counters["bytes/tick"] =
-      benchmark::Counter(ticks ? double(total_bytes) / double(ticks) : 0);
-  state.counters["pos_rmse_max"] = benchmark::Counter(divergence_max);
+      benchmark::Counter(double(c.bytes) / kCountedTicks);
+  state.counters["pos_rmse_max"] = benchmark::Counter(c.rmse_max);
   state.SetLabel("period=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_EventualPeriodSweep)

@@ -59,17 +59,4 @@ void ChangeLog::Read(Cursor cursor, ChangeSet* out) {
   Advance(cursor);
 }
 
-void ChangeLog::Advance(Cursor cursor) {
-  cursors_[cursor] = base_ + records_.size();
-  DropRead();
-}
-
-void ChangeLog::DropRead() {
-  uint64_t slowest = base_ + records_.size();
-  for (uint64_t pos : cursors_) slowest = std::min(slowest, pos);
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<ptrdiff_t>(slowest - base_));
-  base_ = slowest;
-}
-
 }  // namespace gamedb

@@ -3,8 +3,9 @@
 /// \file change_log.h
 /// The change log of a component table: one append-only record per tracked
 /// mutation, read by any number of consumers through their own cursors —
-/// the delta layer that incremental view maintenance (views/) and delta
-/// replication (replication/) consume (docs/ARCHITECTURE.md "Live views").
+/// the one delta layer that incremental view maintenance (views/), delta
+/// replication (replication/) and maintained aggregates (core/aggregate.h)
+/// consume (docs/ARCHITECTURE.md "Live views").
 ///
 /// A table appends a record only while at least one cursor is open, and
 /// every cursor advance or close drops the records the slowest open cursor
@@ -28,6 +29,7 @@
 /// that per-tick cost should scale with change volume, not world size, and
 /// its assumption that every consumer sees every net delta.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -37,7 +39,7 @@
 
 namespace gamedb {
 
-/// Kind of a tracked mutation (change-log records and table observers).
+/// Kind of a tracked mutation (one change-log record).
 enum class ChangeKind : uint8_t { kAdd, kUpdate, kRemove };
 
 /// Net changes of one component table over one cursor window.
@@ -88,12 +90,14 @@ class ChangeLog {
   /// first.
   void Read(Cursor cursor, ChangeSet* out);
 
-  /// Calls fn(EntityId) for each raw removal record after `cursor`, in
-  /// log order, then advances the cursor to the end.
+  /// Calls fn(EntityId, ChangeKind) for each raw record after `cursor`, in
+  /// log order, then advances the cursor to the end. No coalescing and no
+  /// allocation: for consumers that re-evaluate each named row against
+  /// current table state and so may see one row several times.
   template <typename Fn>
-  void ForEachRemoval(Cursor cursor, Fn&& fn) {
+  void ForEachRecord(Cursor cursor, Fn&& fn) {
     for (size_t i = cursors_[cursor] - base_; i < records_.size(); ++i) {
-      if (records_[i].kind == ChangeKind::kRemove) fn(records_[i].entity);
+      fn(records_[i].entity, records_[i].kind);
     }
     Advance(cursor);
   }
@@ -118,9 +122,25 @@ class ChangeLog {
   static constexpr uint64_t kClosed = UINT64_MAX;
 
   /// Moves `cursor` to the end of the log, then drops what every open
-  /// cursor has read.
-  void Advance(Cursor cursor);
-  void DropRead();
+  /// cursor has read. Inline, with the one-reader case first: a maintained
+  /// aggregate advances its cursor on every read.
+  void Advance(Cursor cursor) {
+    if (cursors_.size() == 1) {  // the only reader has read everything
+      base_ += records_.size();
+      cursors_[cursor] = base_;
+      records_.clear();
+      return;
+    }
+    cursors_[cursor] = base_ + records_.size();
+    DropRead();
+  }
+  void DropRead() {
+    uint64_t slowest = base_ + records_.size();
+    for (uint64_t pos : cursors_) slowest = std::min(slowest, pos);
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<ptrdiff_t>(slowest - base_));
+    base_ = slowest;
+  }
 
   /// records_[i] has sequence number base_ + i.
   std::vector<Record> records_;

@@ -154,8 +154,8 @@ Status DecodeEntityRecord(std::string_view data, World* world, EntityId e) {
     }
     ComponentStore* store = world->StoreById(info->id());
     store->EmplaceDefault(e);
-    // PatchRaw keeps observers (aggregates, delta trackers) consistent by
-    // reporting the pre-decode value as the old value.
+    // PatchRaw is a tracked update, so change-log consumers (views,
+    // replication, maintained aggregates) see the decoded row.
     Status decode_status = Status::OK();
     store->PatchRaw(e, [&](void* comp) {
       Decoder field_dec(payload);

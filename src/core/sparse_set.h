@@ -3,10 +3,9 @@
 /// \file sparse_set.h
 /// Sparse-set component tables: the physical storage layer of the game state
 /// database. Dense, cache-friendly iteration (the "EnTT-style" layout) with
-/// O(1) add/remove/lookup, per-row versions for delta extraction, a change
-/// log read through per-consumer cursors (core/change_log.h), and change
-/// observers that feed maintained aggregate indexes (docs/ARCHITECTURE.md
-/// "Maintained aggregates").
+/// O(1) add/remove/lookup, per-row versions for delta extraction, and a
+/// change log read through per-consumer cursors (core/change_log.h) — the
+/// one way views, replication and maintained aggregates learn of a write.
 
 #include <cstdint>
 #include <functional>
@@ -53,27 +52,20 @@ class ComponentStore {
   virtual uint64_t last_version() const = 0;
   /// Version of the row at dense position `i`.
   virtual uint64_t VersionAt(size_t i) const = 0;
-  /// Marks `e` updated (bumps its row version, notifies observers). The
-  /// update notification carries old_value == nullptr, so tables with
-  /// subscribed value-maintained aggregates must use PatchRaw instead.
+  /// Marks `e` updated (bumps its row version, appends a change record):
+  /// publishes earlier untracked writes to every change-log consumer.
   virtual void Touch(EntityId e) = 0;
   /// Type-erased in-place mutation: runs `mutate` on the component storage
-  /// and notifies observers with correct old/new values. Returns false when
-  /// `e` has no row. This is the reflection-layer analogue of Patch.
+  /// as a tracked update. Returns false when `e` has no row. This is the
+  /// reflection-layer analogue of Patch.
   virtual bool PatchRaw(EntityId e,
                         const std::function<void(void*)>& mutate) = 0;
   /// The table's change log. Set/Patch/PatchRaw/Touch/Erase append one
   /// record each while a cursor is open; writes that bypass tracking
-  /// (GetMutableUntracked without Touch) are invisible here, the same
-  /// contract maintained aggregates live with. Views and replication read
-  /// it through their own cursors.
+  /// (GetMutableUntracked without Touch) are invisible here. Views,
+  /// replication and maintained aggregates read it through their own
+  /// cursors.
   ChangeLog& changes() { return changes_; }
-
-  /// Number of live change observers subscribed to this table. Observers see
-  /// old/new values on Patch but old == nullptr on Touch, so code that wants
-  /// to substitute Touch for Patch (direct-write fast paths) must check this
-  /// is zero first.
-  virtual size_t observer_count() const = 0;
 
  private:
   ChangeLog changes_;
@@ -87,10 +79,6 @@ class ComponentStore {
 template <typename T>
 class SparseSet final : public ComponentStore {
  public:
-  using Observer =
-      std::function<void(ChangeKind, EntityId, const T* old_value,
-                         const T* new_value)>;
-
   SparseSet() = default;
   GAMEDB_DISALLOW_COPY(SparseSet);
 
@@ -100,11 +88,9 @@ class SparseSet final : public ComponentStore {
     GAMEDB_DCHECK(e.valid());
     uint32_t pos = SparsePos(e);
     if (pos != kNpos && dense_entities_[pos] == e) {
-      T old = dense_values_[pos];
       dense_values_[pos] = std::move(value);
       row_versions_[pos] = ++version_;
       changes().Append(ChangeKind::kUpdate, e);
-      Notify(ChangeKind::kUpdate, e, &old, &dense_values_[pos]);
       return dense_values_[pos];
     }
     EnsureSparse(e.index);
@@ -113,35 +99,32 @@ class SparseSet final : public ComponentStore {
     dense_values_.push_back(std::move(value));
     row_versions_.push_back(++version_);
     changes().Append(ChangeKind::kAdd, e);
-    Notify(ChangeKind::kAdd, e, nullptr, &dense_values_.back());
     return dense_values_.back();
   }
 
   /// Returns the component for `e`, or nullptr. Does not bump versions; use
-  /// GetMutable for writes that must be observed.
+  /// Patch for writes that must be observed.
   const T* Get(EntityId e) const {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return nullptr;
     return &dense_values_[pos];
   }
 
-  /// Mutable access that bumps the row version and notifies observers with
-  /// the post-mutation value. The callback edits the component in place.
+  /// Tracked in-place mutation: the callback edits the component, then the
+  /// row version is bumped and a change record appended.
   template <typename Fn>
   bool Patch(EntityId e, Fn&& fn) {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return false;
-    T old = dense_values_[pos];
     fn(dense_values_[pos]);
     row_versions_[pos] = ++version_;
     changes().Append(ChangeKind::kUpdate, e);
-    Notify(ChangeKind::kUpdate, e, &old, &dense_values_[pos]);
     return true;
   }
 
-  /// Mutable pointer WITHOUT version bump or observer notification. Intended
-  /// for hot loops that finish with an explicit Touch(e), or for state that
-  /// no index subscribes to.
+  /// Mutable pointer WITHOUT version bump or change record. Intended for
+  /// hot loops that finish with an explicit Touch(e), or for state no
+  /// change-log consumer reads.
   T* GetMutableUntracked(EntityId e) {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return nullptr;
@@ -156,7 +139,6 @@ class SparseSet final : public ComponentStore {
   bool Erase(EntityId e) override {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return false;
-    T old = std::move(dense_values_[pos]);
     uint32_t last = static_cast<uint32_t>(dense_entities_.size() - 1);
     if (pos != last) {
       dense_entities_[pos] = dense_entities_[last];
@@ -170,7 +152,6 @@ class SparseSet final : public ComponentStore {
     sparse_[e.index] = kNpos;
     ++version_;
     changes().Append(ChangeKind::kRemove, e);
-    Notify(ChangeKind::kRemove, e, &old, nullptr);
     return true;
   }
 
@@ -193,7 +174,7 @@ class SparseSet final : public ComponentStore {
   }
 
   void Clear() override {
-    // Report removals so observers (aggregates) stay consistent.
+    // One removal record per row, so change-log consumers stay consistent.
     while (!dense_entities_.empty()) {
       Erase(dense_entities_.back());
     }
@@ -207,7 +188,6 @@ class SparseSet final : public ComponentStore {
     if (pos == kNpos || !(dense_entities_[pos] == e)) return;
     row_versions_[pos] = ++version_;
     changes().Append(ChangeKind::kUpdate, e);
-    Notify(ChangeKind::kUpdate, e, nullptr, &dense_values_[pos]);
   }
 
   bool PatchRaw(EntityId e,
@@ -229,24 +209,6 @@ class SparseSet final : public ComponentStore {
     }
   }
 
-  /// Registers a change observer; returns a handle for Unsubscribe.
-  size_t Subscribe(Observer obs) {
-    observers_.push_back(std::move(obs));
-    return observers_.size() - 1;
-  }
-  void Unsubscribe(size_t handle) {
-    GAMEDB_DCHECK(handle < observers_.size());
-    observers_[handle] = nullptr;
-  }
-
-  size_t observer_count() const override {
-    size_t n = 0;
-    for (const auto& obs : observers_) {
-      if (obs) ++n;
-    }
-    return n;
-  }
-
   /// Direct access to the dense arrays (hot loops, benchmarks).
   const std::vector<EntityId>& entities() const { return dense_entities_; }
   std::vector<T>& values() { return dense_values_; }
@@ -264,18 +226,10 @@ class SparseSet final : public ComponentStore {
     if (index >= sparse_.size()) sparse_.resize(index + 1, kNpos);
   }
 
-  void Notify(ChangeKind kind, EntityId e, const T* old_value,
-              const T* new_value) {
-    for (auto& obs : observers_) {
-      if (obs) obs(kind, e, old_value, new_value);
-    }
-  }
-
   std::vector<uint32_t> sparse_;
   std::vector<EntityId> dense_entities_;
   std::vector<T> dense_values_;
   std::vector<uint64_t> row_versions_;
-  std::vector<Observer> observers_;
   uint64_t version_ = 0;
 };
 

@@ -91,7 +91,8 @@ class World {
     return t ? t->Get(e) : nullptr;
   }
 
-  /// In-place mutation with version bump + observer notification.
+  /// Tracked in-place mutation: bumps the row version, appends a change
+  /// record.
   template <typename T, typename Fn>
   bool Patch(EntityId e, Fn&& fn) {
     return Table<T>().Patch(e, std::forward<Fn>(fn));

@@ -16,6 +16,18 @@ double BucketFractionBelow(double bucket_lo, double bucket_hi, double x) {
   return w > 0.0 ? (x - bucket_lo) / w : 0.0;
 }
 
+/// The entries of a hash map in key order, so text built from them does
+/// not depend on the map's insertion history.
+template <typename Map>
+std::vector<const typename Map::value_type*> SortedByKey(const Map& map) {
+  std::vector<const typename Map::value_type*> out;
+  out.reserve(map.size());
+  for (const auto& entry : map) out.push_back(&entry);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
+
 }  // namespace
 
 double FieldStats::EstimateSelectivity(CmpOp op, double rhs) const {
@@ -252,15 +264,19 @@ std::string WorldStats::ToString() const {
   const TypeRegistry& reg = TypeRegistry::Global();
   std::string out =
       "stats epoch " + std::to_string(epoch_) + ":\n";
-  for (const auto& [id, ts] : tables_) {
+  // Tables in type-id order, fields by name.
+  for (const auto* table : SortedByKey(tables_)) {
+    const auto& [id, ts] = *table;
     const TypeInfo* info = reg.Find(id);
     out += "  " + (info ? info->name() : std::to_string(id)) + ": " +
            std::to_string(ts.rows) + " rows";
-    for (const auto& [name, fs] : ts.fields) {
+    for (const auto* field : SortedByKey(ts.fields)) {
+      const auto& [name, fs] = *field;
       out += ", " + name + "=[" + std::to_string(fs.min) + "," +
              std::to_string(fs.max) + "]";
     }
-    for (const auto& [name, ss] : ts.spatial) {
+    for (const auto* field : SortedByKey(ts.spatial)) {
+      const auto& [name, ss] = *field;
       out += ", " + name + ": ~" +
              std::to_string(ss.EstimateNeighbors(ss.ref_radius)) +
              " neighbors@r=" + std::to_string(ss.ref_radius);

@@ -230,12 +230,13 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
 
     // Removals on the server side. A row re-added since its removal was
     // sent above with its new version; erasing it now would lose it.
-    store.changes().ForEachRemoval(table.cursor, [&](EntityId e) {
-      if (store.Contains(e)) return;
-      PutFixed64(&message, e.Raw());
-      ++stats->removals_sent;
-      client_store->Erase(e);
-    });
+    store.changes().ForEachRecord(
+        table.cursor, [&](EntityId e, ChangeKind kind) {
+          if (kind != ChangeKind::kRemove || store.Contains(e)) return;
+          PutFixed64(&message, e.Raw());
+          ++stats->removals_sent;
+          client_store->Erase(e);
+        });
 
     table.acked = store.last_version();
   });

@@ -398,8 +398,7 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
               // defer only a Touch so the apply phase reproduces kDefer's
               // version/change-capture stream exactly. The raw Set (no
               // Patch) avoids bumping the table's shared version counter
-              // from a pool thread; the host checked the table has no
-              // observers before enabling the gate.
+              // or appending to its change log from a pool thread.
               void* c = store->Find(e);
               GAMEDB_RETURN_NOT_OK(f->Set(c, fv));
               deferred->Push(shard,
@@ -418,8 +417,8 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
           return Value::Nil();
         }
         ComponentStore* store = world->StoreById(info->id());
-        // PatchRaw notifies observers with correct old/new values, keeping
-        // maintained aggregates and delta tracking consistent.
+        // PatchRaw is a tracked update, keeping views, maintained
+        // aggregates and delta replication consistent.
         Status set_status = Status::OK();
         bool found = store->PatchRaw(e, [&](void* c) {
           set_status = f->Set(c, fv);

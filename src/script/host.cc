@@ -13,19 +13,16 @@ namespace gamedb::script {
 
 namespace {
 
-/// Seed for one entity's random() stream this tick. SplitMix64-style mixing
-/// of (base, tick, entity) — Rng::Seed expands it further, we only need the
-/// three inputs to land in distinct, well-separated states.
 /// Stable metric-name bucket for a kDirectChecked fallback reason (the
 /// reason strings carry entry/table names; registry counters must not).
 const char* FallbackCategory(const std::string& reason) {
   if (reason.rfind("no access summary", 0) == 0) return "no_access_summary";
-  if (reason.find("change observers") != std::string::npos) {
-    return "observers";
-  }
   return "ineligible";
 }
 
+/// Seed for one entity's random() stream this tick. SplitMix64-style mixing
+/// of (base, tick, entity) — Rng::Seed expands it further, we only need the
+/// three inputs to land in distinct, well-separated states.
 uint64_t PerEntitySeed(uint64_t base, uint64_t tick, EntityId e) {
   uint64_t x = base;
   x ^= tick * 0x9E3779B97F4A7C15ull;
@@ -217,19 +214,6 @@ Status ScriptHost::Load(std::string_view source, std::string_view origin) {
           break;
         }
       }
-      if (verdict.eligible) {
-        for (const auto& [key, bits] : entry.facts.access.fields) {
-          if ((bits & (kAccessWriteSelf | kAccessWriteForeign)) == 0) {
-            continue;
-          }
-          std::string comp = key.substr(0, key.find('.'));
-          bool seen = false;
-          for (const std::string& c : verdict.written_components) {
-            seen = seen || c == comp;
-          }
-          if (!seen) verdict.written_components.push_back(std::move(comp));
-        }
-      }
       direct_eligible_[entry.name] = std::move(verdict);
     }
   }
@@ -280,35 +264,17 @@ Result<ScriptTickStats> ScriptHost::RunTick(
   PrewarmStores();
   ScriptTickStats stats;
   // Arm the direct-write gate only when the load-time analysis proved this
-  // entry disjoint AND the tables it writes have no change observers right
-  // now (Touch replay notifies without old values, which value-maintained
-  // aggregates cannot absorb). Anything unprovable falls back to kDefer.
+  // entry disjoint; anything unprovable falls back to kDefer. The deferred
+  // Touch replay is an ordinary tracked update, so every change-log
+  // consumer (views, replication, maintained aggregates) sees the writes.
   bool direct = false;
   if (options_.mutations == MutationPolicy::kDirectChecked) {
-    auto it = direct_eligible_.find(fn);
-    if (it == direct_eligible_.end()) {
-      stats.fallback_reason =
-          "no access summary for '" + fn + "' (verifier off or unloaded)";
-    } else if (!it->second.eligible) {
-      stats.fallback_reason = it->second.reason;
-    } else {
-      direct = true;
-      for (const std::string& comp : it->second.written_components) {
-        const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
-        ComponentStore* store =
-            info == nullptr ? nullptr : world_->StoreByIdIfExists(info->id());
-        if (store != nullptr && store->observer_count() > 0) {
-          direct = false;
-          stats.fallback_reason =
-              "table '" + comp +
-              "' has change observers (Touch replay cannot carry old values)";
-          break;
-        }
-      }
-    }
+    auto [eligible, reason] = DirectVerdict(fn);
+    direct = eligible;
     if (direct) {
       ++direct_ticks_;
     } else {
+      stats.fallback_reason = std::move(reason);
       ++fallback_ticks_;
       ++fallback_reason_counts_[stats.fallback_reason];
       if (options_.telemetry.metrics != nullptr) {

@@ -209,8 +209,6 @@ class ScriptHost {
   struct DirectEntry {
     bool eligible = false;
     std::string reason;
-    /// Component names the entry writes (for the per-tick observer check).
-    std::vector<std::string> written_components;
   };
 
   /// Ensures every registered component type has a store before the query

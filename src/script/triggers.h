@@ -72,8 +72,7 @@ class TriggerSystem {
   /// depth 0 during view maintenance (a sequential point) and run at the
   /// next Pump(), where handlers may mutate the world — the maintenance
   /// phase itself stays read-only. The destructor unsubscribes, so destroy
-  /// this system while the watched view is still registered (the
-  /// core/aggregate.h subscriber ordering).
+  /// this system while the watched view is still registered.
   void WatchView(views::LiveView* view, std::string enter_event,
                  std::string exit_event, std::string update_event = "");
 

@@ -66,10 +66,8 @@ void ApplyTxn(World* world, const GameTxn& t);
 
 /// Sequential post-batch publish pass: bumps row versions (Touch) on every
 /// component store of every entity a batch wrote, making the parallel
-/// executors' untracked writes visible to version-tracked consumers (delta
-/// replication, dirty scans). Touch notifications carry no old value, so
-/// this is incompatible with tables that have value-maintained aggregates
-/// subscribed — servers wanting both use tracked single-threaded execution.
+/// executors' untracked writes visible to tracked consumers (delta
+/// replication, dirty scans, views, maintained aggregates).
 void PublishBatchDirty(World* world, const std::vector<GameTxn>& batch);
 
 /// Executor metrics for E5/E6.

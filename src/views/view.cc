@@ -1,7 +1,6 @@
 #include "views/view.h"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 
 namespace gamedb::views {
@@ -147,59 +146,6 @@ Result<double> LiveView::Aggregate() const {
   return Status::NotSupported("unknown aggregate kind");
 }
 
-bool LiveView::AggValue(EntityId e, double* out) const {
-  const void* comp = world_->StoreByIdIfExists(agg_type_)->Find(e);
-  if (comp == nullptr) return false;
-  FieldValue v = agg_field_->Get(comp);
-  // NaN would wedge the running sum (sum - NaN never recovers) and break
-  // the extrema multiset's ordering; the exact Aggregate() fold still
-  // reports it with fresh-terminal semantics.
-  return FieldValueAsNumber(v, out) && !std::isnan(*out);
-}
-
-void LiveView::AggAdd(EntityId e) {
-  // kCount needs no per-member state (count == membership size), and only
-  // kMin/kMax pay the extrema multiset.
-  switch (def_.aggregate) {
-    case AggKind::kNone:
-    case AggKind::kCount:
-      return;
-    case AggKind::kSum:
-    case AggKind::kAvg: {
-      double v = 0.0;
-      if (!AggValue(e, &v)) return;
-      contrib_[e.Raw()] = v;
-      running_.Add(v);
-      return;
-    }
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      double v = 0.0;
-      if (!AggValue(e, &v)) return;
-      contrib_[e.Raw()] = v;
-      running_.Add(v);
-      extrema_.insert(v);
-      return;
-    }
-  }
-}
-
-void LiveView::AggRemove(EntityId e) {
-  if (def_.aggregate == AggKind::kNone ||
-      def_.aggregate == AggKind::kCount) {
-    return;
-  }
-  auto it = contrib_.find(e.Raw());
-  if (it == contrib_.end()) return;
-  running_.Remove(it->second);
-  if (def_.aggregate == AggKind::kMin || def_.aggregate == AggKind::kMax) {
-    auto pos = extrema_.find(it->second);
-    GAMEDB_DCHECK(pos != extrema_.end());
-    if (pos != extrema_.end()) extrema_.erase(pos);
-  }
-  contrib_.erase(it);
-}
-
 void LiveView::MarkCandidate(EntityId e) {
   // A net ChangeSet lists an entity at most once, so single-table views
   // cannot see duplicates — skip the dedup hashing entirely.
@@ -233,7 +179,6 @@ void LiveView::Enter(EntityId e) {
     std::unique_lock<std::shared_mutex> lock(sort_mu_);
     sorted_dirty_ = true;
   }
-  AggAdd(e);
   ++stats_.enters;
   for (const Callback& cb : enter_cbs_) {
     if (cb) cb(e);
@@ -246,7 +191,6 @@ void LiveView::Exit(EntityId e) {
     std::unique_lock<std::shared_mutex> lock(sort_mu_);
     sorted_dirty_ = true;
   }
-  AggRemove(e);
   ++stats_.exits;
   for (const Callback& cb : exit_cbs_) {
     if (cb) cb(e);
@@ -255,10 +199,6 @@ void LiveView::Exit(EntityId e) {
 
 void LiveView::Update(EntityId e) {
   ++stats_.updates;
-  if (def_.aggregate != AggKind::kNone) {
-    AggRemove(e);
-    AggAdd(e);
-  }
   for (const Callback& cb : update_cbs_) {
     if (cb) cb(e);
   }

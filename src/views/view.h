@@ -28,7 +28,7 @@
 ///
 /// Thread safety: maintenance (ViewCatalog::Maintain, Recenter) and
 /// registration are sequential-phase operations. Read accessors —
-/// Contains/size/count/running_*/Members/Aggregate — are safe to call
+/// Contains/size/Members/ForEachMember/Aggregate — are safe to call
 /// concurrently with each other (the scripted parallel query phase does;
 /// the lazy sort cache behind Members is double-checked-locked), but not
 /// concurrently with maintenance.
@@ -36,22 +36,19 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
-#include "core/aggregate.h"
 #include "core/change_log.h"
 #include "core/query.h"
 #include "core/world.h"
 
 namespace gamedb::views {
 
-/// Aggregate a LiveView maintains over its members, evaluated with exactly
+/// Aggregate a LiveView folds over its members when read, with exactly
 /// DynamicQuery's terminal semantics (Count/Sum/Min/Max/Avg).
 enum class AggKind : uint8_t { kNone, kCount, kSum, kAvg, kMin, kMax };
 
@@ -88,9 +85,10 @@ struct ViewDef {
   bool has_near = false;
   Near near;
 
-  /// Optional maintained aggregate over `agg_component.agg_field`. An
-  /// aggregate view additionally requires the aggregated component (a
-  /// fresh DynamicQuery aggregate terminal does the same).
+  /// Optional aggregate over `agg_component.agg_field`, read through
+  /// LiveView::Aggregate. An aggregate view additionally requires the
+  /// aggregated component (a fresh DynamicQuery aggregate terminal does
+  /// the same).
   AggKind aggregate = AggKind::kNone;
   std::string agg_component;
   std::string agg_field;
@@ -141,43 +139,10 @@ class LiveView {
   /// The aggregate evaluated with DynamicQuery terminal semantics: folds
   /// current member values in canonical order, so the result is
   /// bit-identical to the equivalent fresh Count/Sum/Min/Max/Avg call
-  /// (floating-point addition is order-sensitive; the maintained running
-  /// values below trade that exactness for O(1) reads). Min/Max/Avg on an
+  /// (floating-point addition is order-sensitive). Min/Max/Avg on an
   /// empty fold return NotFound, as the fresh terminals do. NotSupported
   /// when the view has no aggregate.
   Result<double> Aggregate() const;
-
-  /// O(1)/O(log n) incrementally-maintained reads (core/aggregate.h
-  /// machinery). `count` is exact: membership size for count views,
-  /// numeric contributions for folding aggregates.
-  /// `running_sum`/`running_avg` can drift from Aggregate() by
-  /// floating-point rounding accumulated across maintenance;
-  /// `running_min`/`running_max` are exact over the current member
-  /// multiset (maintained only for kMin/kMax views).
-  int64_t count() const {
-    switch (def_.aggregate) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-      case AggKind::kMin:
-      case AggKind::kMax:
-        return running_.count;
-      case AggKind::kNone:
-      case AggKind::kCount:
-        break;
-    }
-    return static_cast<int64_t>(members_.size());
-  }
-  double running_sum() const { return running_.sum; }
-  double running_avg() const { return running_.Average(); }
-  bool running_extrema_empty() const { return extrema_.empty(); }
-  double running_min() const {
-    GAMEDB_DCHECK(!extrema_.empty());
-    return *extrema_.begin();
-  }
-  double running_max() const {
-    GAMEDB_DCHECK(!extrema_.empty());
-    return *extrema_.rbegin();
-  }
 
   // --- Subscriptions -----------------------------------------------------
 
@@ -188,7 +153,7 @@ class LiveView {
   /// in deterministic delta order and must not mutate the World. Each
   /// returns a handle for the matching Remove* (subscribers whose owner
   /// can die before the view — TriggerSystem::WatchView — unsubscribe in
-  /// their destructor, the core/aggregate.h pattern).
+  /// their destructor).
   size_t OnEnter(Callback cb) { return Add(&enter_cbs_, std::move(cb)); }
   size_t OnExit(Callback cb) { return Add(&exit_cbs_, std::move(cb)); }
   size_t OnUpdate(Callback cb) { return Add(&update_cbs_, std::move(cb)); }
@@ -247,11 +212,6 @@ class LiveView {
     if (handle < cbs->size()) (*cbs)[handle] = nullptr;
   }
 
-  /// Current aggregate contribution of `e`, if its agg field is numeric.
-  bool AggValue(EntityId e, double* out) const;
-  void AggAdd(EntityId e);
-  void AggRemove(EntityId e);
-
   World* world_;
   QueryPlanHook* planner_;
   ViewDef def_;
@@ -272,13 +232,6 @@ class LiveView {
   mutable const ComponentStore* sorted_driver_ = nullptr;
   mutable uint64_t sorted_driver_version_ = 0;
   mutable bool sorted_dirty_ = true;
-
-  // Maintained aggregate state: running sum/count (O(1) reads), exact
-  // extrema multiset, and each member's last folded-in contribution (the
-  // "old value" a later exit/update must subtract).
-  RunningSum running_;
-  std::multiset<double> extrema_;
-  std::unordered_map<uint64_t, double> contrib_;
 
   // Per-maintenance-round candidate set (deduplicated, first-mark order).
   std::vector<EntityId> candidates_;

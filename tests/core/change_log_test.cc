@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/reflect.h"
 #include "core/sparse_set.h"
@@ -67,10 +69,15 @@ TEST_F(ChangeLogTest, LogHoldsOnlyRecordsAfterTheSlowestCursor) {
   EXPECT_EQ(cs.added.size(), 2u) << "a's update folds into its add";
   EXPECT_EQ(log().size(), 1u);
 
-  std::vector<EntityId> removed;
+  // The raw reader sees records 3 and 4 uncoalesced, in log order.
+  std::vector<std::pair<EntityId, ChangeKind>> raw;
   world.Remove<Health>(b);  // record 4
-  log().ForEachRemoval(fast, [&](EntityId e) { removed.push_back(e); });
-  EXPECT_EQ(removed, std::vector<EntityId>{b});
+  log().ForEachRecord(fast, [&](EntityId e, ChangeKind kind) {
+    raw.emplace_back(e, kind);
+  });
+  ASSERT_EQ(raw.size(), 2u);
+  EXPECT_EQ(raw[0], std::make_pair(a, ChangeKind::kUpdate));
+  EXPECT_EQ(raw[1], std::make_pair(b, ChangeKind::kRemove));
   EXPECT_EQ(log().size(), 1u) << "only record 4, which slow has not read";
   log().Read(slow, &cs);
   EXPECT_EQ(Raw(cs.removed), std::vector<uint64_t>{b.Raw()});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -89,66 +90,33 @@ TEST(SparseSetTest, VersionsIncreaseMonotonically) {
   EXPECT_EQ(after_v3, 0u);
 }
 
-// Erasures reach the change log as removal records, which a cursor walks
-// once; reading them drops them from the log.
+// Every tracked write, erasures included, reaches the change log as one
+// record of its kind, which a cursor walks once; reading them drops them
+// from the log.
 TEST(SparseSetTest, RemovedLogTracksErasures) {
   SparseSet<Hp> set;
   EntityId a(0, 0), b(1, 0);
   set.Set(a, Hp{1});
-  set.Set(b, Hp{2});
   ChangeLog::Cursor cursor = set.changes().Open();
-  set.Patch(b, [](Hp& hp) { hp.value = 3; });
-  set.Erase(a);
-  std::vector<EntityId> removed;
-  set.changes().ForEachRemoval(cursor,
-                               [&](EntityId e) { removed.push_back(e); });
-  EXPECT_EQ(removed, std::vector<EntityId>{a});
+  set.Set(b, Hp{2});                           // add
+  set.Set(b, Hp{3});                           // update (overwrite)
+  set.Patch(b, [](Hp& hp) { hp.value = 4; });  // update (patch)
+  set.Erase(a);                                // remove
+  using Record = std::pair<EntityId, ChangeKind>;
+  auto read = [&]() {
+    std::vector<Record> records;
+    set.changes().ForEachRecord(cursor, [&](EntityId e, ChangeKind kind) {
+      records.emplace_back(e, kind);
+    });
+    return records;
+  };
+  EXPECT_EQ(read(), (std::vector<Record>{{b, ChangeKind::kAdd},
+                                         {b, ChangeKind::kUpdate},
+                                         {b, ChangeKind::kUpdate},
+                                         {a, ChangeKind::kRemove}}));
   EXPECT_EQ(set.changes().size(), 0u);
-
-  removed.clear();
-  set.changes().ForEachRemoval(cursor,
-                               [&](EntityId e) { removed.push_back(e); });
-  EXPECT_TRUE(removed.empty());
+  EXPECT_TRUE(read().empty());
   set.changes().Close(cursor);
-}
-
-TEST(SparseSetTest, ObserversSeeAddUpdateRemove) {
-  SparseSet<Hp> set;
-  std::vector<ChangeKind> kinds;
-  std::vector<float> old_values, new_values;
-  set.Subscribe([&](ChangeKind k, EntityId, const Hp* o, const Hp* n) {
-    kinds.push_back(k);
-    old_values.push_back(o ? o->value : -1);
-    new_values.push_back(n ? n->value : -1);
-  });
-  EntityId e(0, 0);
-  set.Set(e, Hp{1});                       // add
-  set.Set(e, Hp{2});                       // update (overwrite)
-  set.Patch(e, [](Hp& hp) { hp.value = 3; });  // update (patch)
-  set.Erase(e);                            // remove
-
-  ASSERT_EQ(kinds.size(), 4u);
-  EXPECT_EQ(kinds[0], ChangeKind::kAdd);
-  EXPECT_EQ(kinds[1], ChangeKind::kUpdate);
-  EXPECT_EQ(kinds[2], ChangeKind::kUpdate);
-  EXPECT_EQ(kinds[3], ChangeKind::kRemove);
-  EXPECT_FLOAT_EQ(old_values[1], 1);
-  EXPECT_FLOAT_EQ(new_values[1], 2);
-  EXPECT_FLOAT_EQ(old_values[2], 2);
-  EXPECT_FLOAT_EQ(new_values[2], 3);
-  EXPECT_FLOAT_EQ(old_values[3], 3);
-  EXPECT_FLOAT_EQ(new_values[3], -1);
-}
-
-TEST(SparseSetTest, UnsubscribeStopsNotifications) {
-  SparseSet<Hp> set;
-  int calls = 0;
-  size_t h = set.Subscribe(
-      [&](ChangeKind, EntityId, const Hp*, const Hp*) { ++calls; });
-  set.Set(EntityId(0, 0), Hp{1});
-  set.Unsubscribe(h);
-  set.Set(EntityId(1, 0), Hp{2});
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(SparseSetTest, GetMutableUntrackedSkipsVersionBump) {
@@ -167,13 +135,16 @@ TEST(SparseSetTest, GetMutableUntrackedSkipsVersionBump) {
 TEST(SparseSetTest, ClearNotifiesRemovals) {
   SparseSet<Hp> set;
   for (uint32_t i = 0; i < 10; ++i) set.Set(EntityId(i, 0), Hp{float(i)});
-  int removals = 0;
-  set.Subscribe([&](ChangeKind k, EntityId, const Hp*, const Hp*) {
-    if (k == ChangeKind::kRemove) ++removals;
-  });
+  ChangeLog::Cursor cursor = set.changes().Open();
   set.Clear();
   EXPECT_EQ(set.Size(), 0u);
-  EXPECT_EQ(removals, 10);
+  std::set<uint32_t> removed;
+  set.changes().ForEachRecord(cursor, [&](EntityId e, ChangeKind kind) {
+    EXPECT_EQ(kind, ChangeKind::kRemove);
+    removed.insert(e.index);
+  });
+  EXPECT_EQ(removed.size(), 10u);
+  set.changes().Close(cursor);
 }
 
 TEST(SparseSetTest, RandomOpsAgainstReferenceModel) {

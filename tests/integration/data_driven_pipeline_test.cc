@@ -145,7 +145,7 @@ TEST(DataDrivenPipelineTest, LoopScriptRejectedWhereDeclarativeLoads) {
 }
 
 TEST(DataDrivenPipelineTest, ScriptWritesFeedMaintainedAggregates) {
-  // Script set() -> PatchRaw -> observers: the aggregate index a designer
+  // Script set() -> PatchRaw -> change log: the aggregate index a designer
   // dashboard reads stays exact while scripts mutate state.
   RegisterStandardComponents();
   World world;

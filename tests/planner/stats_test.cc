@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/world.h"
 
@@ -134,6 +140,48 @@ TEST_F(StatsTest, ConstantColumnEstimatesExactComparison) {
   EXPECT_DOUBLE_EQ(team->EstimateSelectivity(CmpOp::kEq, 2.0), 0.0);
   EXPECT_DOUBLE_EQ(team->EstimateSelectivity(CmpOp::kLt, 3.0), 0.0);
   EXPECT_DOUBLE_EQ(team->EstimateSelectivity(CmpOp::kLe, 3.0), 1.0);
+}
+
+// EXPLAIN's stats text lists tables in type-id order and each table's
+// fields by name, whatever order the tables were created in.
+TEST_F(StatsTest, ToStringIsIndependentOfTableCreationOrder) {
+  auto fill = [](World* w, bool reversed) {
+    std::vector<std::function<void(EntityId)>> sets = {
+        [w](EntityId e) { w->Set(e, Actor{7, 300, 4, true}); },
+        [w](EntityId e) { w->Set(e, Health{40.0f, 90.0f}); },
+        [w](EntityId e) { w->Set(e, Position{{1.0f, 2.0f, 3.0f}}); },
+    };
+    if (reversed) std::reverse(sets.begin(), sets.end());
+    EntityId e = w->Create();
+    for (const auto& set : sets) set(e);
+  };
+  World other;
+  fill(&world, false);
+  fill(&other, true);
+  WorldStats a, b;
+  a.Analyze(world);
+  b.Analyze(other);
+  const std::string text = a.ToString();
+  EXPECT_EQ(text, b.ToString());
+
+  const TypeRegistry& reg = TypeRegistry::Global();
+  std::vector<std::pair<uint32_t, size_t>> lines;  // (type id, offset)
+  for (const char* name : {"Actor", "Health", "Position"}) {
+    size_t at = text.find("  " + std::string(name) + ":");
+    ASSERT_NE(at, std::string::npos) << name << " missing from:\n" << text;
+    lines.emplace_back(reg.FindByName(name)->id(), at);
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_LT(lines[0].second, lines[1].second) << text;
+  EXPECT_LT(lines[1].second, lines[2].second) << text;
+
+  size_t prev = text.find("  Actor:");
+  for (const char* field : {"account_id=", "gold=", "is_player=", "level="}) {
+    size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    EXPECT_LT(prev, at) << field << " out of name order in:\n" << text;
+    prev = at;
+  }
 }
 
 }  // namespace

@@ -152,37 +152,5 @@ TEST_F(HostTelemetryTest, FallbackReasonsAccumulatePerReason) {
   EXPECT_EQ(registry.GetCounter("script.direct_ticks")->value(), 0u);
 }
 
-TEST_F(HostTelemetryTest, ObserverFallbackBucketsAsObservers) {
-  auto ids = Populate(&world, 4);
-  (void)ids;
-  telemetry::MetricsRegistry registry;
-  registry.SetEnabled(true);
-  ScriptHostOptions opts;
-  opts.mutations = MutationPolicy::kDirectChecked;
-  opts.telemetry.metrics = &registry;
-  ScriptHost host(&world, opts);
-  ASSERT_TRUE(host.Load("fn tick(e) { set(e, \"Health\", \"hp\", 1) }").ok());
-
-  world.AdvanceTick();
-  auto direct = host.RunTickOver("tick", "Health");
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(direct->direct_checked);
-  EXPECT_TRUE(direct->fallback_reason.empty());
-
-  world.Table<Health>().Subscribe(
-      [](ChangeKind, EntityId, const Health*, const Health*) {});
-  world.AdvanceTick();
-  auto fallback = host.RunTickOver("tick", "Health");
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback->direct_checked);
-  EXPECT_NE(fallback->fallback_reason.find("change observers"),
-            std::string::npos)
-      << fallback->fallback_reason;
-
-  EXPECT_EQ(registry.GetCounter("script.fallback.observers")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("script.direct_ticks")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("script.fallback_ticks")->value(), 1u);
-}
-
 }  // namespace
 }  // namespace gamedb::script

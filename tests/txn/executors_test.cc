@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/aggregate.h"
 #include "txn/bubbles.h"
 #include "txn/workload.h"
 
@@ -109,6 +110,35 @@ TEST_P(ExecutorParamTest, EmptyBatchIsFine) {
   ThreadPool pool(2);
   ExecStats stats = engine->ExecuteBatch(&workload.world(), {}, &pool);
   EXPECT_EQ(stats.committed, 0u);
+}
+
+// The executors write untracked from pool threads; PublishBatchDirty's
+// Touch pass then makes those writes ordinary tracked updates, so a
+// maintained aggregate over the written table stays equal to a rescan.
+TEST_P(ExecutorParamTest, PublishedBatchKeepsSumAggregateExact) {
+  WorkloadOptions opts;
+  opts.num_entities = 300;
+  opts.area_extent = 150.0f;
+  opts.attack_fraction = 0.6f;
+  opts.trade_fraction = 0.2f;
+  opts.seed = 11;
+  MmoWorkload workload(opts);
+  World& world = workload.world();
+  SumAggregate<Health> total(world, [](const Health& h) { return h.hp; });
+
+  auto engine = MakeEngine(GetParam());
+  ThreadPool pool(4);
+  const double hp_before = workload.TotalHp();
+  for (int tick = 0; tick < 4; ++tick) {
+    auto batch = workload.NextBatch();
+    engine->ExecuteBatch(&world, batch, &pool);
+    PublishBatchDirty(&world, batch);
+    workload.AdvancePositions(0.1f);
+    EXPECT_NEAR(total.sum(), workload.TotalHp(), 1e-6) << "tick " << tick;
+    EXPECT_EQ(total.count(),
+              static_cast<int64_t>(world.Table<Health>().Size()));
+  }
+  EXPECT_LT(total.sum(), hp_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ExecutorParamTest,

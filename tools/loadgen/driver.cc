@@ -88,9 +88,10 @@ Status Driver::Init() {
   planner_.Analyze();
 
   // Global monitoring views: the scripted behavior reads
-  // `loadgen_wounded` every entity-tick; `loadgen_critical` carries a
-  // maintained aggregate so the aggregate-maintenance path is also under
-  // load. Final memberships land in the deterministic report section.
+  // `loadgen_wounded` every entity-tick; `loadgen_critical` is an AVG
+  // view, which costs maintenance no more than a plain one (its
+  // Aggregate() folds on read). Final memberships land in the
+  // deterministic report section.
   views::ViewDef wounded;
   wounded.name = "loadgen_wounded";
   wounded.where = {{"Health", "hp", CmpOp::kLt, 30.0}};
