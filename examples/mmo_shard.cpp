@@ -7,9 +7,9 @@
 //
 // With --interest-view, client replication reads each client's
 // incrementally-maintained interest LiveView (ViewCatalog + cost-based
-// planner) instead of rescanning the Position table per client — the
-// kInterestView configuration the scenario harness (tools/loadgen) runs at
-// scale.
+// planner) instead of testing each row's Position against the radius per
+// client — the kInterestView configuration the scenario harness
+// (tools/loadgen) runs at scale.
 
 #include <cstdio>
 #include <cstring>
@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
   txn::BubbleExecutor executor(bopts);
   ThreadPool pool(4);
 
-  // Interest replication: per-client Position rescan by default, or (with
-  // --interest-view) a planner-executed LiveView per client, recentered as
-  // its avatar moves. Planner + catalog must outlive the sync server.
+  // Interest replication: a per-row Position radius test by default, or
+  // (with --interest-view) a planner-executed LiveView per client,
+  // recentered as its avatar moves. Planner + catalog must outlive the sync server.
   std::unique_ptr<planner::QueryPlanner> planner;
   std::unique_ptr<views::ViewCatalog> catalog;
   replication::SyncOptions sopts;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     std::printf("interest mode: LiveView (catalog + cost-based planner)\n");
   } else {
     sopts.strategy = replication::SyncStrategy::kInterest;
-    std::printf("interest mode: per-client rescan\n");
+    std::printf("interest mode: per-row radius test\n");
   }
   replication::SyncServer sync(&world, sopts);
   sync.AddClient(workload.entities()[0]);

@@ -4,7 +4,7 @@
 /// Incrementally-maintained aggregate indexes over component tables.
 ///
 /// This is the database trick the tutorial attributes to the SGL line of
-/// work [11, 13]: instead of scripts recomputing "sum of hp of my faction"
+/// work [11, 13]: instead of scripts recomputing "total hp of every unit"
 /// by iterating every entity every frame (Ω(n) per reader, Ω(n²) overall),
 /// the engine maintains the aggregate at O(1)/O(log n) per tracked write.
 /// Benchmarked in E1 and E10.
@@ -194,10 +194,13 @@ class ExtremaAggregate : private internal::ChangeFold<ExtremaAggregate<T>, T> {
 };
 
 /// Maintained per-group SUM/COUNT: GROUP BY key(component) with an int64
-/// grouping key (faction id, zone id, guild id...).
+/// grouping key read from the aggregated row itself (Actor::account_id,
+/// say).
 ///
 /// The group key must be derivable from the component value alone so that
-/// updates can move a row between groups.
+/// updates can move a row between groups. A key stored in another
+/// component cannot group this one: a faction kept in `Faction` cannot key
+/// a grouped `Health` sum, because a write to `Faction` is never seen here.
 template <typename T>
 class GroupedSumAggregate
     : private internal::ChangeFold<GroupedSumAggregate<T>, T> {

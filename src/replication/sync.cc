@@ -115,14 +115,13 @@ Status SyncServer::SyncOne(ClientReplica* client, SyncStats* stats) {
     case SyncStrategy::kInterest:
     case SyncStrategy::kInterestView:
       return SendDelta(client, /*interest_filtered=*/true, stats);
-    case SyncStrategy::kEventual: {
-      uint64_t now = server_->tick();
-      if (client->ever_synced_ &&
-          now - client->last_sync_tick_ < options_.period_ticks) {
+    case SyncStrategy::kEventual:
+      // The replica's tick is the server tick of its last sync.
+      if (!client->tables_.empty() &&
+          server_->tick() - client->world().tick() < options_.period_ticks) {
         return Status::OK();  // skip this round; divergence accrues
       }
       return SendDelta(client, /*interest_filtered=*/false, stats);
-    }
   }
   return Status::InvalidArgument("unknown strategy");
 }
@@ -131,40 +130,29 @@ Status SyncServer::SendFullSnapshot(ClientReplica* client, SyncStats* stats) {
   std::string snapshot;
   EncodeWorldSnapshot(*server_, &snapshot);
   stats->bytes_sent += snapshot.size();
-  client->ever_synced_ = true;
-  client->last_sync_tick_ = server_->tick();
   return DecodeWorldSnapshot(snapshot, &client->world());
 }
 
 Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
                              SyncStats* stats) {
-  // Interest set: entities with Position within radius of the avatar, plus
-  // the avatar itself. kInterest rescans the Position table per client;
-  // kInterestView reads the client's incrementally-maintained LiveView
-  // (recentered when the avatar moved — an index-assisted repopulate).
-  std::unordered_set<uint64_t> interest;
-  if (interest_filtered) {
-    const Position* center = server_->Get<Position>(client->avatar());
-    if (options_.strategy == SyncStrategy::kInterestView) {
-      views::LiveView* view = client->interest_view_;
-      if (center != nullptr && view != nullptr) {
-        GAMEDB_RETURN_NOT_OK(view->Recenter(center->value));
-        view->ForEachMember(
-            [&](EntityId e) { interest.insert(e.Raw()); });
-      }
-    } else if (center != nullptr) {
-      float r2 = options_.interest_radius * options_.interest_radius;
-      const auto* table = server_->TableIfExists<Position>();
-      if (table != nullptr) {
-        table->ForEach([&](EntityId e, const Position& p) {
-          if (p.value.DistanceSquaredTo(center->value) <= r2) {
-            interest.insert(e.Raw());
-          }
-        });
-      }
-    }
-    interest.insert(client->avatar().Raw());
+  // Interest: the avatar, plus every live server entity whose Position is
+  // within radius of the avatar's. kInterest tests the entity's own row;
+  // kInterestView asks the client's incrementally-maintained LiveView,
+  // recentered here on the avatar (an index-assisted repopulate).
+  const Position* center =
+      interest_filtered ? server_->Get<Position>(client->avatar()) : nullptr;
+  views::LiveView* view = client->interest_view_;
+  if (center != nullptr && view != nullptr) {
+    GAMEDB_RETURN_NOT_OK(view->Recenter(center->value));
   }
+  const float r2 = options_.interest_radius * options_.interest_radius;
+  auto in_interest = [&](EntityId e) {
+    if (!interest_filtered || e == client->avatar()) return true;
+    if (center == nullptr || !server_->Alive(e)) return false;
+    if (view != nullptr) return view->Contains(e);
+    const Position* p = server_->Get<Position>(e);
+    return p != nullptr && p->value.DistanceSquaredTo(center->value) <= r2;
+  };
 
   // The "message": encoded rows and removals. We count its bytes as the
   // bandwidth metric and apply it immediately (zero-loss in-memory link).
@@ -184,16 +172,16 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
     ComponentStore* client_store = replica.StoreById(info.id());
     GAMEDB_CHECK(client_store != nullptr);
 
-    // Changed (or newly interesting) rows.
+    // Changed rows, and under interest every row the replica lacks (the
+    // entity just entered interest). Ask the replica's table, not whether
+    // the entity is alive there: the entity's first table creates it.
     for (size_t i = 0; i < store.Size(); ++i) {
       EntityId e = store.EntityAt(i);
-      bool in_interest =
-          !interest_filtered || interest.count(e.Raw()) > 0;
-      bool was_subscribed =
-          !interest_filtered || client->subscribed_.count(e.Raw()) > 0;
-      bool changed = store.VersionAt(i) > acked;
-      bool send = in_interest && (changed || !was_subscribed);
-      if (!send) continue;
+      if (!in_interest(e)) continue;
+      if (store.VersionAt(i) <= acked &&
+          (!interest_filtered || client_store->Contains(e))) {
+        continue;
+      }
 
       // Encode: table name omitted (implied by loop); entity + payload.
       std::string payload;
@@ -228,11 +216,15 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
       }
     }
 
-    // Removals on the server side. A row re-added since its removal was
-    // sent above with its new version; erasing it now would lose it.
+    // Removals on the server side, for rows the replica holds. A row
+    // re-added since its removal was sent above with its new version;
+    // erasing it now would lose it.
     store.changes().ForEachRecord(
         table.cursor, [&](EntityId e, ChangeKind kind) {
-          if (kind != ChangeKind::kRemove || store.Contains(e)) return;
+          if (kind != ChangeKind::kRemove || store.Contains(e) ||
+              !client_store->Contains(e)) {
+            return;
+          }
           PutFixed64(&message, e.Raw());
           ++stats->removals_sent;
           client_store->Erase(e);
@@ -242,25 +234,24 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
   });
   GAMEDB_RETURN_NOT_OK(apply_status);
 
-  // Interest exits: drop all components of entities that left the bubble.
+  // Interest exits: the replica's entities that are no longer in interest.
+  // Destroy, not per-store Erase: an out-of-interest entity should not
+  // linger as an alive-but-empty replica entity (it would also collide
+  // with a later CreateWithId when the server reuses the slot).
   if (interest_filtered) {
-    for (uint64_t raw : client->subscribed_) {
-      if (interest.count(raw)) continue;
-      EntityId e = EntityId::FromRaw(raw);
-      PutFixed64(&message, raw);
+    std::vector<EntityId> exits;
+    replica.ForEachEntity([&](EntityId e) {
+      if (!in_interest(e)) exits.push_back(e);
+    });
+    for (EntityId e : exits) {
+      PutFixed64(&message, e.Raw());
       ++stats->removals_sent;
-      // Destroy, not per-store Erase: an out-of-interest entity should not
-      // linger as an alive-but-empty replica entity (it would also collide
-      // with a later CreateWithId when the server reuses the slot).
       replica.Destroy(e);
     }
-    client->subscribed_ = std::move(interest);
   }
 
   stats->bytes_sent += message.size();
   replica.SetTick(server_->tick());
-  client->ever_synced_ = true;
-  client->last_sync_tick_ = server_->tick();
   return Status::OK();
 }
 

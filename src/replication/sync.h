@@ -14,15 +14,16 @@
 ///
 /// Scope: component values replicate, and so does destruction, as row
 /// removals: SendDelta reads each table's change log through the client's
-/// own cursor and erases every row the server removed since the client
-/// first synced that table (none from before it joined; a row re-added
-/// since is sent, not erased), and the interest strategies destroy a
-/// replica entity once it leaves interest (a destroyed entity always does).
+/// own cursor and erases each row the server removed since the client
+/// first synced that table, if the replica holds it (a row re-added since
+/// is sent, not erased). The replica world is the one record of what a
+/// client holds: the interest strategies send each in-interest row the
+/// replica lacks, and destroy each replica entity no longer in interest
+/// (a destroyed entity never is).
 
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -42,23 +43,21 @@ enum class SyncStrategy : uint8_t {
   kFullSnapshot,
   /// Per-table version deltas every tick (strict, pay-for-what-changed).
   kDelta,
-  /// Deltas restricted to an area of interest around the client avatar;
-  /// entities entering interest send full rows, leaving entities are
-  /// dropped from the replica.
+  /// Deltas restricted to an area of interest around the client avatar:
+  /// the avatar, and each live entity whose Position is within the radius
+  /// of the avatar's. Entities entering interest send full rows, leaving
+  /// entities are dropped from the replica.
   kInterest,
   /// Deltas only every `period_ticks` — weak consistency; divergence grows
   /// between rounds and collapses on sync.
   kEventual,
-  /// kInterest semantics, but the per-client interest set is a LiveView
-  /// (views/view.h) maintained incrementally from change capture instead
-  /// of an O(world) Position rescan per client per sync: moved entities
-  /// re-probe against the radius via deltas, and avatar movement triggers
-  /// an index-assisted Recenter. Requires SyncOptions::view_catalog;
-  /// replicated state is identical to kInterest for live entities. (One
-  /// deliberate divergence: rows of *dead* entities — possible only via
-  /// raw SparseSet writes with stale ids — are excluded here, where
-  /// kInterest's raw rescan would replicate and resurrect them on the
-  /// client.)
+  /// kInterest semantics, but interest is a per-client LiveView
+  /// (views/view.h) maintained incrementally from the change log instead
+  /// of a radius test of each row's Position per client per sync: moved
+  /// entities re-probe against the radius via deltas, and avatar movement
+  /// triggers an index-assisted Recenter. Requires
+  /// SyncOptions::view_catalog; replicated state is identical to
+  /// kInterest.
   kInterestView,
 };
 
@@ -94,21 +93,21 @@ class ClientReplica {
 
  private:
   friend class SyncServer;
+  /// What the client holds. Its tick is the server tick of the last sync;
+  /// under kInterest / kInterestView it holds no entity that was out of
+  /// interest at that sync.
   World world_;
   EntityId avatar_;
   /// Per component table (by type id), from the first SendDelta that met
-  /// it: the last acked version and the client's change-log cursor.
+  /// it: the last acked version and the client's change-log cursor. Empty
+  /// until the client's first delta sync.
   struct TableSync {
     uint64_t acked = 0;
     ChangeLog::Cursor cursor = 0;
   };
   std::unordered_map<uint32_t, TableSync> tables_;
-  /// kInterest / kInterestView: entities currently replicated.
-  std::unordered_set<uint64_t> subscribed_;
   /// kInterestView: this client's interest view (owned by the catalog).
   views::LiveView* interest_view_ = nullptr;
-  uint64_t last_sync_tick_ = 0;
-  bool ever_synced_ = false;
   /// False after RemoveClient: SyncAll skips the slot.
   bool connected_ = true;
 };

@@ -89,10 +89,8 @@ const std::vector<EntityId>& LiveView::Members() const {
       // A member may legitimately have no driver row: world mutations
       // (Destroy, Remove) take effect immediately, while the view only
       // reconciles at the next Maintain/Repopulate. A caller reading
-      // Members() inside that window — Recenter before the tick's
-      // Maintain is the canonical case — sees the surviving members in
-      // canonical order; the stale ones exit when their pending deltas
-      // drain.
+      // Members() inside that window sees the surviving members in
+      // canonical order; the stale ones exit at that reconcile.
       if (pos == ComponentStore::kNoDenseIndex) continue;
       order.emplace_back(pos, e);
     }
@@ -212,27 +210,16 @@ Status LiveView::Repopulate() {
   std::unordered_set<uint64_t> fresh_set;
   fresh_set.reserve(fresh.size());
   for (EntityId e : fresh) fresh_set.insert(e.Raw());
-  // Exits in current canonical order, then enters in fresh (canonical)
-  // order — subscribers see a deterministic delta stream, not a rebuild.
-  // Members() only orders members that still have a driver row; members
-  // whose row is already gone (destroyed since the last Maintain, deltas
-  // still pending) are appended in raw-id order so the reconcile exits
-  // them here instead of leaving them to linger until the next Maintain.
-  std::vector<EntityId> old = Members();
-  if (old.size() < members_.size()) {
-    std::unordered_set<uint64_t> ordered;
-    ordered.reserve(old.size());
-    for (EntityId e : old) ordered.insert(e.Raw());
-    std::vector<uint64_t> rowless;
-    for (uint64_t raw : members_) {
-      if (ordered.count(raw) == 0) rowless.push_back(raw);
-    }
-    std::sort(rowless.begin(), rowless.end());
-    for (uint64_t raw : rowless) old.push_back(EntityId::FromRaw(raw));
+  // Exits in raw-id order, then enters in fresh (canonical) order —
+  // subscribers see a deterministic delta stream, not a rebuild. A member
+  // destroyed since the last Maintain is not in the fresh result, so it
+  // exits here too.
+  std::vector<uint64_t> exits;
+  for (uint64_t raw : members_) {
+    if (fresh_set.count(raw) == 0) exits.push_back(raw);
   }
-  for (EntityId e : old) {
-    if (fresh_set.count(e.Raw()) == 0) Exit(e);
-  }
+  std::sort(exits.begin(), exits.end());
+  for (uint64_t raw : exits) Exit(EntityId::FromRaw(raw));
   for (EntityId e : fresh) {
     if (members_.count(e.Raw()) == 0) Enter(e);
   }

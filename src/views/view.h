@@ -28,7 +28,7 @@
 ///
 /// Thread safety: maintenance (ViewCatalog::Maintain, Recenter) and
 /// registration are sequential-phase operations. Read accessors —
-/// Contains/size/Members/ForEachMember/Aggregate — are safe to call
+/// Contains/size/Members/Aggregate — are safe to call
 /// concurrently with each other (the scripted parallel query phase does;
 /// the lazy sort cache behind Members is double-checked-locked), but not
 /// concurrently with maintenance.
@@ -125,15 +125,6 @@ class LiveView {
   /// under the cached order; safe for concurrent readers.
   const std::vector<EntityId>& Members() const;
 
-  /// Unordered member iteration: no canonical sort, no allocation. The
-  /// right read for consumers that don't need deterministic order (e.g.
-  /// building an interest set); large views pay only O(m) here where
-  /// Members() pays a re-sort after any driver-table write.
-  template <typename Fn>
-  void ForEachMember(Fn&& fn) const {
-    for (uint64_t raw : members_) fn(EntityId::FromRaw(raw));
-  }
-
   // --- Aggregate reads ---------------------------------------------------
 
   /// The aggregate evaluated with DynamicQuery terminal semantics: folds
@@ -165,12 +156,15 @@ class LiveView {
 
   /// Moves the proximity term's center and repopulates through the planner
   /// (index-assisted), diffing against current membership so subscribers
-  /// still see enter/exit deltas. InvalidArgument when the view has no
-  /// proximity term. No-op (cheap) when the center is unchanged.
+  /// still see enter/exit deltas (exits in raw-id order, then enters in
+  /// canonical order). InvalidArgument when the view has no proximity
+  /// term. No-op (cheap) when the center is unchanged.
   Status Recenter(const Vec3& center);
 
-  /// Full planner repopulation (diffs + fires callbacks). Register calls
-  /// this once; Recenter reuses it.
+  /// Full planner repopulation, diffed against current membership: fires
+  /// an exit for each member missing from the fresh result, in raw-id
+  /// order, then an enter for each new one, in canonical order. Register
+  /// calls this once; Recenter reuses it.
   Status Repopulate();
 
   /// Component tables (type ids, deduplicated) this view must observe.

@@ -157,7 +157,9 @@ TEST_F(SyncTest, EventualSkipsRoundsAndDiverges) {
 
 // kInterestView must replicate exactly what kInterest replicates — the
 // LiveView-backed interest set only changes *how* the set is computed
-// (incremental deltas + recenter instead of a per-client world rescan).
+// (incremental deltas + recenter instead of a per-row radius test). Each
+// tick an NPC dies and a new entity takes its slot inside the radius, so
+// replicas evict stale generations of reused slots.
 TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
   Rng rng(99);
   SyncOptions scan_opts;
@@ -174,7 +176,8 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
   SyncServer view_sync(&server, view_opts);
   view_sync.AddClient(ids[0]);
 
-  std::vector<SyncStats> stats;
+  std::vector<SyncStats> scan_stats, view_stats;
+  size_t reused_inside = 0;
   for (int tick = 0; tick < 12; ++tick) {
     server.AdvanceTick();
     // Wander everyone, including the avatar (exercises Recenter), so
@@ -190,11 +193,33 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
         });
       }
     }
-    ASSERT_TRUE(scan_sync.SyncAll(&stats).ok());
+    // One NPC dies, a random one inside the radius when there is one, and
+    // a new entity takes its slot inside the radius.
+    const Vec3 avatar = server.Get<Position>(ids[0])->value;
+    std::vector<size_t> inside;
+    for (size_t i = 1; i < ids.size(); ++i) {
+      if (server.Get<Position>(ids[i])->value.DistanceTo(avatar) <= 25.0f) {
+        inside.push_back(i);
+      }
+    }
+    size_t victim = inside.empty() ? 1 + rng.NextBounded(ids.size() - 1)
+                                   : inside[rng.NextBounded(inside.size())];
+    server.Destroy(ids[victim]);
+    EntityId successor = server.Create();
+    ASSERT_EQ(successor.index, ids[victim].index);  // the slot is reused
+    server.Set(successor, Position{{avatar.x + 5, 0, avatar.z}});
+    server.Set(successor, Health{rng.NextFloat(0, 100), 100});
+    ids[victim] = successor;
+    reused_inside += inside.empty() ? 0 : 1;
+    ASSERT_TRUE(scan_sync.SyncAll(&scan_stats).ok());
     catalog.Maintain();  // the tick loop's pre-sync round
-    ASSERT_TRUE(view_sync.SyncAll(&stats).ok());
+    ASSERT_TRUE(view_sync.SyncAll(&view_stats).ok());
 
-    // Same replicated rows, same values, tick for tick.
+    // Same replicated rows, same values, same traffic, tick for tick.
+    EXPECT_EQ(scan_stats[0].rows_sent, view_stats[0].rows_sent)
+        << "tick " << tick;
+    EXPECT_EQ(scan_stats[0].removals_sent, view_stats[0].removals_sent)
+        << "tick " << tick;
     const World& a = scan_sync.client(0).world();
     const World& b = view_sync.client(0).world();
     for (EntityId e : ids) {
@@ -205,10 +230,17 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
         EXPECT_EQ(a.Get<Health>(e)->hp, b.Get<Health>(e)->hp);
       }
     }
+    // Neither replica keeps an entity the server has destroyed.
+    for (const World* replica : {&a, &b}) {
+      replica->ForEachEntity([&](EntityId e) {
+        EXPECT_TRUE(server.Alive(e)) << "tick " << tick;
+      });
+    }
     auto report = MeasureDivergence(server, b);
     EXPECT_EQ(report.missing_on_client,
               MeasureDivergence(server, a).missing_on_client);
   }
+  EXPECT_GT(reused_inside, 0u);  // slots were reused inside the radius
 }
 
 // The same equivalence with the avatar standing still: the interest view is
@@ -397,6 +429,59 @@ TEST_F(SyncTest, ChangeLogsStayEmptyAcrossSyncsAndRelogins) {
   }
   EXPECT_GT(removals, 0u);  // destroys did reach the clients
   EXPECT_EQ(sync.connected_count(), 3u);
+}
+
+// A removal is sent only for a row the replica holds. Under the interest
+// strategies an entity destroyed outside interest was never replicated;
+// under kDelta and kEventual a component added and removed between two
+// syncs never reached the replica. Neither sends a removal, and every
+// replica still matches the server where it holds rows.
+TEST_F(SyncTest, RemovalsOnlyForRowsTheReplicaHolds) {
+  planner::QueryPlanner planner(&server);
+  views::ViewCatalog catalog(&server, &planner);
+  const std::vector<SyncStrategy> strategies = {
+      SyncStrategy::kDelta, SyncStrategy::kEventual, SyncStrategy::kInterest,
+      SyncStrategy::kInterestView};
+  std::vector<std::unique_ptr<SyncServer>> syncs;
+  for (SyncStrategy strategy : strategies) {
+    SyncOptions opts;
+    opts.strategy = strategy;
+    opts.interest_radius = 25.0f;  // ids[0..2] around the avatar at x=0
+    opts.period_ticks = 1;
+    opts.view_catalog = &catalog;
+    syncs.push_back(std::make_unique<SyncServer>(&server, opts));
+    syncs.back()->AddClient(ids[0]);
+  }
+  std::vector<std::vector<SyncStats>> stats(syncs.size());
+  auto sync_all = [&] {
+    server.AdvanceTick();
+    catalog.Maintain();
+    for (size_t i = 0; i < syncs.size(); ++i) {
+      ASSERT_TRUE(syncs[i]->SyncAll(&stats[i]).ok());
+    }
+  };
+  sync_all();
+
+  server.Destroy(ids[10]);  // x=100: outside interest
+  EntityId flicker = server.Create();
+  server.Set(flicker, Health{1, 100});  // added and removed between syncs
+  server.Remove<Health>(flicker);
+  sync_all();
+
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    const bool interest = strategies[i] == SyncStrategy::kInterest ||
+                          strategies[i] == SyncStrategy::kInterestView;
+    // kDelta / kEventual held ids[10]'s Position and Health rows.
+    EXPECT_EQ(stats[i][0].removals_sent, interest ? 0u : 2u)
+        << SyncStrategyName(strategies[i]);
+    const World& replica = syncs[i]->client(0).world();
+    EXPECT_FALSE(replica.Has<Position>(ids[10]));
+    auto report = MeasureDivergence(server, replica);
+    EXPECT_EQ(report.missing_on_client, interest ? 16u : 0u)
+        << SyncStrategyName(strategies[i]);
+    EXPECT_DOUBLE_EQ(report.position_rmse, 0.0);
+    EXPECT_DOUBLE_EQ(report.hp_mean_abs_error, 0.0);
+  }
 }
 
 TEST_F(SyncTest, MultipleClientsTrackIndependently) {

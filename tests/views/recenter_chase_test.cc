@@ -160,14 +160,30 @@ TEST_F(RecenterChaseTest, SubscribersSeeEnterExitDeltasAcrossRecenters) {
   // real membership through every recenter (Recenter promises diffs, not
   // a silent rebuild).
   std::set<uint64_t> mirror;
+  std::set<uint64_t> exited;
   for (EntityId e : view->Members()) mirror.insert(e.Raw());
   view->OnEnter([&](EntityId e) { mirror.insert(e.Raw()); });
-  view->OnExit([&](EntityId e) { mirror.erase(e.Raw()); });
+  view->OnExit([&](EntityId e) {
+    mirror.erase(e.Raw());
+    exited.insert(e.Raw());
+  });
 
   Rng rng(31337);
+  size_t destroyed = 0;
   for (int tick = 0; tick < 40; ++tick) {
     Churn(rng);
     catalog_->Maintain();
+    // Every third tick a member dies between Maintain and Recenter, so the
+    // recenter is the first to see it gone.
+    EntityId victim;
+    if (tick % 3 == 0 && view->size() > 0) {
+      const std::vector<EntityId>& members = view->Members();
+      victim = members[rng.NextBounded(members.size())];
+      world_.Destroy(victim);
+      pool_.erase(std::find(pool_.begin(), pool_.end(), victim));
+      ++destroyed;
+    }
+    exited.clear();
     Vec3 center{rng.NextFloat(0, kArena), 0, rng.NextFloat(0, kArena)};
     ASSERT_TRUE(view->Recenter(center).ok());
 
@@ -175,7 +191,13 @@ TEST_F(RecenterChaseTest, SubscribersSeeEnterExitDeltasAcrossRecenters) {
     for (EntityId e : view->Members()) actual.insert(e.Raw());
     EXPECT_EQ(mirror, actual) << "tick " << tick
                               << ": callback mirror diverged";
+    if (victim.valid()) {
+      EXPECT_EQ(exited.count(victim.Raw()), 1u)
+          << "tick " << tick << ": destroyed member fired no OnExit";
+      EXPECT_FALSE(view->Contains(victim)) << "tick " << tick;
+    }
   }
+  EXPECT_GT(destroyed, 0u);
   EXPECT_GT(view->stats().enters, 0u);
   EXPECT_GT(view->stats().exits, 0u);
 }
