@@ -8,8 +8,7 @@
 // full snapshot buys zero divergence at maximal bandwidth; delta matches it
 // at a fraction of the bytes; interest cuts bytes by the visibility ratio
 // at the cost of global awareness; eventual trades bounded staleness for
-// the lowest byte rate. interest_view computes interest from maintained
-// LiveViews instead and must ship and drift exactly like interest.
+// the lowest byte rate.
 //
 // The counters (`bytes/tick/client`, `bytes/tick`, `pos_rmse_*`) come from
 // a second, identically seeded shard run for kCountedTicks ticks outside
@@ -23,11 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "planner/planner.h"
 #include "replication/divergence.h"
 #include "replication/sync.h"
 #include "txn/workload.h"
-#include "views/maintainer.h"
 
 namespace {
 
@@ -44,31 +41,20 @@ txn::WorkloadOptions ShardWorkload() {
   return wopts;
 }
 
-SyncOptions WithCatalog(SyncOptions sopts, views::ViewCatalog* catalog) {
-  sopts.view_catalog = catalog;
-  return sopts;
-}
-
-/// The moving shard both benchmarks sync, with `clients` clients. Its view
-/// catalog hosts the kInterestView clients' interest views.
+/// The moving shard both benchmarks sync, with `clients` clients.
 struct Shard {
   Shard(const SyncOptions& sopts, size_t clients)
-      : workload(ShardWorkload()),
-        planner(&workload.world()),
-        catalog(&workload.world(), &planner),
-        sync(&workload.world(), WithCatalog(sopts, &catalog)) {
+      : workload(ShardWorkload()), sync(&workload.world(), sopts) {
     for (size_t c = 0; c < clients; ++c) {
       sync.AddClient(workload.entities()[c * 37]);
     }
   }
 
-  /// One tick: move, maintain the views and sync every client, as the tick
-  /// loop does, then sample client 0's position RMSE into `*rmse`. Returns
-  /// the bytes sent to all clients.
+  /// One tick: move, sync every client, then sample client 0's position
+  /// RMSE into `*rmse`. Returns the bytes sent to all clients.
   uint64_t Tick(double* rmse) {
     workload.AdvancePositions(0.05f);
     workload.world().AdvanceTick();
-    catalog.Maintain();
     Status st = sync.SyncAll(&stats);
     GAMEDB_CHECK(st.ok());
     uint64_t bytes = 0;
@@ -79,8 +65,6 @@ struct Shard {
   }
 
   txn::MmoWorkload workload;
-  planner::QueryPlanner planner;
-  views::ViewCatalog catalog;
   SyncServer sync;
   std::vector<SyncStats> stats;
 };
@@ -133,7 +117,6 @@ BENCHMARK(BM_SyncStrategy)
     ->Arg(int(SyncStrategy::kDelta))
     ->Arg(int(SyncStrategy::kInterest))
     ->Arg(int(SyncStrategy::kEventual))
-    ->Arg(int(SyncStrategy::kInterestView))
     ->Unit(benchmark::kMillisecond);
 
 void BM_EventualPeriodSweep(benchmark::State& state) {

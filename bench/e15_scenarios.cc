@@ -1,12 +1,12 @@
 // E15 — MMO scenario load harness: whole-stack tick latency under hostile
 // scripted workloads. Where e01–e14 isolate one subsystem each, e15 drives
 // the *composed* engine — World mutations, the ScriptHost parallel query
-// phase, the cost-based planner, ViewCatalog interest-view client sync and
-// WAL/checkpoint persistence — through the tools/loadgen scenario library
-// (login storms, hotspot flash crowds, mass spawn waves, chase-recenter
-// churn, mixed steady state). This is the paper's actual claim under test:
-// a declarative database-backed engine sustaining an MMO-shaped load, not a
-// microbenchmark of one of its organs.
+// phase, the cost-based planner, ViewCatalog live views, interest-managed
+// client sync and WAL/checkpoint persistence — through the tools/loadgen
+// scenario library (login storms, hotspot flash crowds, mass spawn waves,
+// chases that move every client's interest, mixed steady state). This is
+// the paper's actual claim under test: a declarative database-backed engine
+// sustaining an MMO-shaped load, not a microbenchmark of one of its organs.
 //
 // Each counter iteration is one full scenario run; per-tick latency
 // quantiles (p50/p99/p99.9) and sync bytes/client-tick are attached as

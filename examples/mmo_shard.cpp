@@ -3,38 +3,19 @@
 // simulated crash and recovery. The systems-integration example.
 //
 //   ./build/examples/mmo_shard
-//   ./build/examples/mmo_shard --interest-view   # LiveView-backed interest
-//
-// With --interest-view, client replication reads each client's
-// incrementally-maintained interest LiveView (ViewCatalog + cost-based
-// planner) instead of testing each row's Position against the radius per
-// client — the kInterestView configuration the scenario harness
-// (tools/loadgen) runs at scale.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "persist/manager.h"
-#include "planner/planner.h"
 #include "replication/divergence.h"
 #include "replication/sync.h"
 #include "txn/bubbles.h"
 #include "txn/workload.h"
-#include "views/maintainer.h"
 
 using namespace gamedb;  // NOLINT
 
-int main(int argc, char** argv) {
-  bool interest_view = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--interest-view") == 0) {
-      interest_view = true;
-    } else {
-      std::printf("usage: %s [--interest-view]\n", argv[0]);
-      return 1;
-    }
-  }
+int main() {
   // --- World ------------------------------------------------------------
   txn::WorkloadOptions wopts;
   wopts.num_entities = 800;
@@ -55,24 +36,12 @@ int main(int argc, char** argv) {
   txn::BubbleExecutor executor(bopts);
   ThreadPool pool(4);
 
-  // Interest replication: a per-row Position radius test by default, or
-  // (with --interest-view) a planner-executed LiveView per client,
-  // recentered as its avatar moves. Planner + catalog must outlive the sync server.
-  std::unique_ptr<planner::QueryPlanner> planner;
-  std::unique_ptr<views::ViewCatalog> catalog;
+  // Interest replication: each sync tests each row's Position against the
+  // radius around the client's avatar.
   replication::SyncOptions sopts;
+  sopts.strategy = replication::SyncStrategy::kInterest;
   sopts.interest_radius = 80.0f;
-  if (interest_view) {
-    planner = std::make_unique<planner::QueryPlanner>(&world);
-    planner->Analyze();
-    catalog = std::make_unique<views::ViewCatalog>(&world, planner.get());
-    sopts.strategy = replication::SyncStrategy::kInterestView;
-    sopts.view_catalog = catalog.get();
-    std::printf("interest mode: LiveView (catalog + cost-based planner)\n");
-  } else {
-    sopts.strategy = replication::SyncStrategy::kInterest;
-    std::printf("interest mode: per-row radius test\n");
-  }
+  std::printf("interest mode: per-row radius test\n");
   replication::SyncServer sync(&world, sopts);
   sync.AddClient(workload.entities()[0]);
   sync.AddClient(workload.entities()[400]);
@@ -102,9 +71,7 @@ int main(int argc, char** argv) {
       persistence.OnEvent(world.tick(), 1.0, "quest_step").ok();
     }
 
-    // 3. Replicate to the connected clients. Interest views first absorb
-    //    every move since the last sync.
-    if (catalog != nullptr) catalog->Maintain();
+    // 3. Replicate to the connected clients.
     if (!sync.SyncAll(&sync_stats).ok()) return 1;
     for (const auto& s : sync_stats) sync_bytes += s.bytes_sent;
 

@@ -1,17 +1,12 @@
 #include "replication/sync.h"
 
-#include <atomic>
-
 #include "common/coding.h"
 #include "core/serialize.h"
-#include "views/maintainer.h"
 
 namespace gamedb::replication {
 
 SyncServer::SyncServer(World* server_world, SyncOptions options)
     : server_(server_world), options_(options) {
-  static std::atomic<uint64_t> next_instance{0};
-  instance_id_ = next_instance.fetch_add(1, std::memory_order_relaxed);
   if (options_.telemetry.metrics != nullptr) {
     telemetry::MetricsRegistry* reg = options_.telemetry.metrics;
     m_rounds_ = reg->GetCounter("sync.rounds");
@@ -35,8 +30,6 @@ const char* SyncStrategyName(SyncStrategy s) {
       return "interest";
     case SyncStrategy::kEventual:
       return "eventual";
-    case SyncStrategy::kInterestView:
-      return "interest_view";
   }
   return "?";
 }
@@ -44,26 +37,7 @@ const char* SyncStrategyName(SyncStrategy s) {
 size_t SyncServer::AddClient(EntityId avatar) {
   clients_.push_back(std::make_unique<ClientReplica>(avatar));
   ++connected_count_;
-  size_t index = clients_.size() - 1;
-  if (options_.strategy == SyncStrategy::kInterestView) {
-    GAMEDB_CHECK(options_.view_catalog != nullptr);  // see SyncOptions
-    views::ViewDef def;
-    def.name = "__sync_interest_" + std::to_string(instance_id_) + "_" +
-               std::to_string(index);
-    def.has_near = true;
-    def.near.component = "Position";
-    def.near.field = "value";
-    // Center starts at the avatar's current position when it has one; the
-    // first SyncOne recenters anyway.
-    const Position* p = server_->Get<Position>(avatar);
-    def.near.center = p != nullptr ? p->value : Vec3{};
-    def.near.radius = options_.interest_radius;
-    Result<views::LiveView*> view = options_.view_catalog->Register(
-        std::move(def));
-    GAMEDB_CHECK(view.ok());  // Position is a registered standard component
-    clients_.back()->interest_view_ = *view;
-  }
-  return index;
+  return clients_.size() - 1;
 }
 
 void SyncServer::RemoveClient(size_t i) {
@@ -76,11 +50,6 @@ void SyncServer::RemoveClient(size_t i) {
     server_->StoreById(id)->changes().Close(table.cursor);
   }
   client->tables_.clear();
-  if (client->interest_view_ != nullptr &&
-      options_.view_catalog != nullptr) {
-    options_.view_catalog->Unregister(client->interest_view_->name());
-    client->interest_view_ = nullptr;
-  }
 }
 
 Status SyncServer::SyncAll(std::vector<SyncStats>* stats) {
@@ -113,7 +82,6 @@ Status SyncServer::SyncOne(ClientReplica* client, SyncStats* stats) {
     case SyncStrategy::kDelta:
       return SendDelta(client, /*interest_filtered=*/false, stats);
     case SyncStrategy::kInterest:
-    case SyncStrategy::kInterestView:
       return SendDelta(client, /*interest_filtered=*/true, stats);
     case SyncStrategy::kEventual:
       // The replica's tick is the server tick of its last sync.
@@ -136,20 +104,13 @@ Status SyncServer::SendFullSnapshot(ClientReplica* client, SyncStats* stats) {
 Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
                              SyncStats* stats) {
   // Interest: the avatar, plus every live server entity whose Position is
-  // within radius of the avatar's. kInterest tests the entity's own row;
-  // kInterestView asks the client's incrementally-maintained LiveView,
-  // recentered here on the avatar (an index-assisted repopulate).
+  // within radius of the avatar's (a NaN coordinate fails the comparison).
   const Position* center =
       interest_filtered ? server_->Get<Position>(client->avatar()) : nullptr;
-  views::LiveView* view = client->interest_view_;
-  if (center != nullptr && view != nullptr) {
-    GAMEDB_RETURN_NOT_OK(view->Recenter(center->value));
-  }
   const float r2 = options_.interest_radius * options_.interest_radius;
   auto in_interest = [&](EntityId e) {
     if (!interest_filtered || e == client->avatar()) return true;
     if (center == nullptr || !server_->Alive(e)) return false;
-    if (view != nullptr) return view->Contains(e);
     const Position* p = server_->Get<Position>(e);
     return p != nullptr && p->value.DistanceSquaredTo(center->value) <= r2;
   };

@@ -17,9 +17,11 @@
 /// own cursor and erases each row the server removed since the client
 /// first synced that table, if the replica holds it (a row re-added since
 /// is sent, not erased). The replica world is the one record of what a
-/// client holds: the interest strategies send each in-interest row the
-/// replica lacks, and destroy each replica entity no longer in interest
-/// (a destroyed entity never is).
+/// client holds: kInterest tests each row's Position against the radius
+/// at every sync, sends each in-interest row the replica lacks, and
+/// destroys each replica entity no longer in interest (a destroyed entity
+/// never is). Nothing about interest persists between syncs, so a client
+/// costs the same whether or not its avatar moves.
 
 #include <memory>
 #include <string>
@@ -31,7 +33,6 @@
 #include "telemetry/sink.h"
 
 namespace gamedb::views {
-class LiveView;
 class ViewCatalog;
 }  // namespace gamedb::views
 
@@ -45,20 +46,15 @@ enum class SyncStrategy : uint8_t {
   kDelta,
   /// Deltas restricted to an area of interest around the client avatar:
   /// the avatar, and each live entity whose Position is within the radius
-  /// of the avatar's. Entities entering interest send full rows, leaving
-  /// entities are dropped from the replica.
+  /// of the avatar's (d² <= r²; a NaN coordinate is inside no radius).
+  /// Entities entering interest send full rows, leaving entities are
+  /// dropped from the replica.
   kInterest,
   /// Deltas only every `period_ticks` — weak consistency; divergence grows
   /// between rounds and collapses on sync.
   kEventual,
-  /// kInterest semantics, but interest is a per-client LiveView
-  /// (views/view.h) maintained incrementally from the change log instead
-  /// of a radius test of each row's Position per client per sync: moved
-  /// entities re-probe against the radius via deltas, and avatar movement
-  /// triggers an index-assisted Recenter. Requires
-  /// SyncOptions::view_catalog; replicated state is identical to
-  /// kInterest.
-  kInterestView,
+  /// Old name of kInterest, kept only because shardbench still sets it.
+  kInterestView = kInterest,
 };
 
 const char* SyncStrategyName(SyncStrategy s);
@@ -66,15 +62,11 @@ const char* SyncStrategyName(SyncStrategy s);
 /// Options for SyncServer.
 struct SyncOptions {
   SyncStrategy strategy = SyncStrategy::kDelta;
-  /// kInterest / kInterestView: radius around the avatar that replicates.
+  /// kInterest: radius around the avatar that replicates.
   float interest_radius = 50.0f;
   /// kEventual: ticks between syncs.
   uint32_t period_ticks = 10;
-  /// kInterestView: catalog hosting the per-client interest views (one
-  /// "__sync_interest_<i>" view per client, registered by AddClient); must
-  /// outlive the SyncServer. The tick loop calls its Maintain() before
-  /// SyncAll, so the views hold every move since the last sync; SyncAll
-  /// itself only recenters them on the avatars.
+  /// Never read; kept only because shardbench still sets it.
   views::ViewCatalog* view_catalog = nullptr;
   /// Optional telemetry hook: SyncAll folds per-round byte/row/removal
   /// totals into the `sync.*` registry counters. Non-owning; must outlive
@@ -94,8 +86,8 @@ class ClientReplica {
  private:
   friend class SyncServer;
   /// What the client holds. Its tick is the server tick of the last sync;
-  /// under kInterest / kInterestView it holds no entity that was out of
-  /// interest at that sync.
+  /// under kInterest it holds no entity that was out of interest at that
+  /// sync.
   World world_;
   EntityId avatar_;
   /// Per component table (by type id), from the first SendDelta that met
@@ -106,8 +98,6 @@ class ClientReplica {
     ChangeLog::Cursor cursor = 0;
   };
   std::unordered_map<uint32_t, TableSync> tables_;
-  /// kInterestView: this client's interest view (owned by the catalog).
-  views::LiveView* interest_view_ = nullptr;
   /// False after RemoveClient: SyncAll skips the slot.
   bool connected_ = true;
 };
@@ -123,21 +113,18 @@ struct SyncStats {
 class SyncServer {
  public:
   SyncServer(World* server_world, SyncOptions options);
-  /// Removes every client (RemoveClient), so a torn-down server neither
-  /// keeps costing view maintenance nor holds change-log records. The
-  /// server world must still be alive.
+  /// Removes every client (RemoveClient), so a torn-down server holds no
+  /// change-log records. The server world must still be alive.
   ~SyncServer();
 
   /// Registers a client whose avatar is `avatar`; returns its index.
   size_t AddClient(EntityId avatar);
 
-  /// Disconnects client `i`: its change-log cursors are closed and its
-  /// interest view (kInterestView) is unregistered from the catalog
-  /// immediately — a logged-out client must stop costing per-tick
-  /// maintenance and log space — and SyncAll skips it from now on.
-  /// The replica world and index stay valid (indices of other clients are
-  /// stable); reconnecting is a fresh AddClient. No-op when already
-  /// disconnected.
+  /// Disconnects client `i`: its change-log cursors are closed
+  /// immediately — a logged-out client must stop costing log space — and
+  /// SyncAll skips it from now on. The replica world and index stay valid
+  /// (indices of other clients are stable); reconnecting is a fresh
+  /// AddClient. No-op when already disconnected.
   void RemoveClient(size_t i);
 
   ClientReplica& client(size_t i) { return *clients_[i]; }
@@ -146,8 +133,7 @@ class SyncServer {
   size_t connected_count() const { return connected_count_; }
 
   /// Synchronizes every client for the server's current tick. Appends the
-  /// per-client byte cost into `stats` (sized to client count). Under
-  /// kInterestView, Maintain() the view catalog first (see SyncOptions).
+  /// per-client byte cost into `stats` (sized to client count).
   Status SyncAll(std::vector<SyncStats>* stats);
 
  private:
@@ -163,9 +149,6 @@ class SyncServer {
   telemetry::Counter* m_bytes_sent_ = nullptr;
   telemetry::Counter* m_rows_sent_ = nullptr;
   telemetry::Counter* m_removals_sent_ = nullptr;
-  /// Distinguishes this server's interest-view names from those of other
-  /// (including earlier, destroyed) SyncServers sharing one catalog.
-  uint64_t instance_id_ = 0;
   std::vector<std::unique_ptr<ClientReplica>> clients_;
   size_t connected_count_ = 0;
 };

@@ -87,7 +87,7 @@ class Interpreter {
   /// and reuses the verdict for shards 1..N-1.
   Status LoadSharedPreanalyzed(std::shared_ptr<const Script> script);
 
-  /// Unregisters the most recently loaded script's functions and handlers
+  /// Drops the most recently loaded script's functions and handlers
   /// (globals persist). No-op when nothing is loaded. Lets hosts roll back
   /// a multi-interpreter load that failed partway, and enables hot-reload.
   void UnloadLast();

@@ -27,7 +27,7 @@ Result<LiveView*> ViewCatalog::Register(ViewDef def) {
       tables_.push_back(Table{id, store->changes().Open(), {}});
     }
   }
-  Status populated = view->Repopulate();
+  Status populated = view->Populate();
   if (!populated.ok()) {
     // Honor the "unchanged on failure" contract: close only the cursors
     // this call opened.
@@ -56,24 +56,6 @@ LiveView* ViewCatalog::Find(const std::string& name) {
 const LiveView* ViewCatalog::Find(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : it->second;
-}
-
-bool ViewCatalog::Unregister(const std::string& name) {
-  LiveView* view = Find(name);
-  if (view == nullptr) return false;
-  // `name` may reference the view's own name (SyncServer passes
-  // view->name()); erase by iterator before the view can be destroyed.
-  by_name_.erase(by_name_.find(name));
-  for (Table& t : tables_) {
-    t.views.erase(std::remove(t.views.begin(), t.views.end(), view),
-                  t.views.end());
-  }
-  views_.erase(std::remove_if(views_.begin(), views_.end(),
-                              [&](const std::unique_ptr<LiveView>& v) {
-                                return v.get() == view;
-                              }),
-               views_.end());
-  return true;
 }
 
 void ViewCatalog::SetTelemetry(const telemetry::TelemetrySink& sink) {

@@ -5,8 +5,8 @@
 /// maintenance from the tables' change logs.
 ///
 /// Flow per quiescent point (ViewCatalog::Maintain — the tick loop calls it
-/// at the sequential point before each parallel script phase and before
-/// each interest-view sync; neither ScriptHost nor SyncServer calls it):
+/// at the sequential point before each parallel script phase and again
+/// before each sync; ScriptHost never calls it):
 ///   1. every dependency table's change log is read once through the
 ///      catalog's own cursor into a net ChangeSet (core/change_log.h);
 ///   2. each changed entity is marked as a re-evaluation candidate on every
@@ -68,12 +68,6 @@ class ViewCatalog {
   /// nullptr when unknown.
   LiveView* Find(const std::string& name);
   const LiveView* Find(const std::string& name) const;
-
-  /// Removes (and destroys) a view; returns whether it existed. The
-  /// catalog's cursors on its tables stay open (other views — or a later
-  /// registration — may depend on them; the per-round read of a quiet
-  /// table is a no-op). Invalidates LiveView* pointers to this view.
-  bool Unregister(const std::string& name);
 
   /// Quiescent-point maintenance: read each dependency table's changes,
   /// re-evaluate changed entities, fire subscriptions. See file comment.

@@ -23,8 +23,10 @@ const char* AggKindName(AggKind k) {
   return "?";
 }
 
-void LiveView::BuildQuery() {
-  query_ = DynamicQuery(world_);
+Status LiveView::Resolve() {
+  if (def_.name.empty()) {
+    return Status::InvalidArgument("a LiveView needs a non-empty name");
+  }
   query_.SetPlanner(planner_);
   for (const std::string& component : def_.with) query_.With(component);
   for (const ViewDef::Where& w : def_.where) {
@@ -35,13 +37,6 @@ void LiveView::BuildQuery() {
                         def_.near.center, def_.near.radius);
   }
   if (def_.aggregate != AggKind::kNone) query_.With(def_.agg_component);
-}
-
-Status LiveView::Resolve() {
-  if (def_.name.empty()) {
-    return Status::InvalidArgument("a LiveView needs a non-empty name");
-  }
-  BuildQuery();
   GAMEDB_RETURN_NOT_OK(query_.status());
   if (def_.aggregate != AggKind::kNone) {
     const TypeInfo* info =
@@ -88,7 +83,7 @@ const std::vector<EntityId>& LiveView::Members() const {
       size_t pos = driver->DenseIndexOf(e);
       // A member may legitimately have no driver row: world mutations
       // (Destroy, Remove) take effect immediately, while the view only
-      // reconciles at the next Maintain/Repopulate. A caller reading
+      // reconciles at the next Maintain. A caller reading
       // Members() inside that window sees the surviving members in
       // canonical order; the stale ones exit at that reconcile.
       if (pos == ComponentStore::kNoDenseIndex) continue;
@@ -202,27 +197,12 @@ void LiveView::Update(EntityId e) {
   }
 }
 
-Status LiveView::Repopulate() {
+Status LiveView::Populate() {
   std::vector<EntityId> fresh;
   GAMEDB_RETURN_NOT_OK(
       query_.Each([&fresh](EntityId e) { fresh.push_back(e); }));
   ++stats_.repopulations;
-  std::unordered_set<uint64_t> fresh_set;
-  fresh_set.reserve(fresh.size());
-  for (EntityId e : fresh) fresh_set.insert(e.Raw());
-  // Exits in raw-id order, then enters in fresh (canonical) order —
-  // subscribers see a deterministic delta stream, not a rebuild. A member
-  // destroyed since the last Maintain is not in the fresh result, so it
-  // exits here too.
-  std::vector<uint64_t> exits;
-  for (uint64_t raw : members_) {
-    if (fresh_set.count(raw) == 0) exits.push_back(raw);
-  }
-  std::sort(exits.begin(), exits.end());
-  for (uint64_t raw : exits) Exit(EntityId::FromRaw(raw));
-  for (EntityId e : fresh) {
-    if (members_.count(e.Raw()) == 0) Enter(e);
-  }
+  for (EntityId e : fresh) Enter(e);
   // The fresh result *is* the canonical order — seed the sort cache.
   const ComponentStore* driver = query_.CanonicalDriver();
   std::unique_lock<std::shared_mutex> lock(sort_mu_);
@@ -231,26 +211,6 @@ Status LiveView::Repopulate() {
   sorted_driver_version_ = driver != nullptr ? driver->last_version() : 0;
   sorted_dirty_ = driver == nullptr;
   return Status::OK();
-}
-
-Status LiveView::Recenter(const Vec3& center) {
-  if (!def_.has_near) {
-    return Status::InvalidArgument("view '" + def_.name +
-                                   "' has no proximity term to recenter");
-  }
-  if (def_.near.center == center) return Status::OK();
-  const Vec3 old_center = def_.near.center;
-  def_.near.center = center;
-  BuildQuery();
-  Status st = Repopulate();
-  if (!st.ok()) {
-    // A failed repopulate fails before touching membership (the query
-    // errors out pre-diff); restore the old center so the same-center
-    // early-return above can't mask stale membership as success.
-    def_.near.center = old_center;
-    BuildQuery();
-  }
-  return st;
 }
 
 }  // namespace gamedb::views

@@ -26,8 +26,8 @@
 /// (GetMutableUntracked without Touch) are invisible — the same contract
 /// maintained aggregates (core/aggregate.h) live with.
 ///
-/// Thread safety: maintenance (ViewCatalog::Maintain, Recenter) and
-/// registration are sequential-phase operations. Read accessors —
+/// Thread safety: maintenance (ViewCatalog::Maintain) and registration
+/// are sequential-phase operations. Read accessors —
 /// Contains/size/Members/Aggregate — are safe to call
 /// concurrently with each other (the scripted parallel query phase does;
 /// the lazy sort cache behind Members is double-checked-locked), but not
@@ -73,9 +73,8 @@ struct ViewDef {
   };
   std::vector<Where> where;
 
-  /// Optional proximity term, as DynamicQuery::WithinRadius. The center
-  /// may later be moved with LiveView::Recenter (an index-assisted
-  /// repopulate, not an O(world) rescan).
+  /// Optional proximity term, as DynamicQuery::WithinRadius, around a
+  /// center fixed at registration. Only moved entities re-probe it.
   struct Near {
     std::string component;
     std::string field;
@@ -100,7 +99,7 @@ struct ViewStats {
   uint64_t enters = 0;         ///< membership additions
   uint64_t exits = 0;          ///< membership removals
   uint64_t updates = 0;        ///< in-membership value changes
-  uint64_t repopulations = 0;  ///< full planner (re)populations
+  uint64_t repopulations = 0;  ///< planner populations (1, at Register)
 };
 
 class ViewCatalog;
@@ -154,19 +153,6 @@ class LiveView {
 
   // --- Maintenance surface (ViewCatalog; tests) ---------------------------
 
-  /// Moves the proximity term's center and repopulates through the planner
-  /// (index-assisted), diffing against current membership so subscribers
-  /// still see enter/exit deltas (exits in raw-id order, then enters in
-  /// canonical order). InvalidArgument when the view has no proximity
-  /// term. No-op (cheap) when the center is unchanged.
-  Status Recenter(const Vec3& center);
-
-  /// Full planner repopulation, diffed against current membership: fires
-  /// an exit for each member missing from the fresh result, in raw-id
-  /// order, then an enter for each new one, in canonical order. Register
-  /// calls this once; Recenter reuses it.
-  Status Repopulate();
-
   /// Component tables (type ids, deduplicated) this view must observe.
   const std::vector<uint32_t>& dependencies() const { return deps_; }
 
@@ -180,13 +166,15 @@ class LiveView {
         query_(world) {}
 
   /// Builds query_ from def_ in DynamicQuery construction order (With...,
-  /// WhereField..., WithinRadius, aggregate component last): the canonical
-  /// driver's tie-break depends on this order.
-  void BuildQuery();
-
-  /// Builds and validates the query, resolves the aggregate field and the
-  /// dependency list.
+  /// WhereField..., WithinRadius, aggregate component last: the canonical
+  /// driver's tie-break depends on this order), validates it, and resolves
+  /// the aggregate field and the dependency list.
   Status Resolve();
+
+  /// The initial population (ViewCatalog::Register, on an empty view):
+  /// runs the query (through the planner, when there is one) and enters
+  /// each row in canonical order.
+  Status Populate();
 
   // Delta application (ViewCatalog::Maintain).
   void MarkCandidate(EntityId e);

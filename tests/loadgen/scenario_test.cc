@@ -116,7 +116,7 @@ TEST_P(ScenarioReplayTest, RunsDoWork) {
   EXPECT_EQ(r.script_errors, 0u);
   EXPECT_GT(r.logins, 0u) << "no client ever connected";
   EXPECT_GT(r.client_ticks, 0u);
-  EXPECT_GT(r.sync_bytes_total, 0u) << "interest-view sync moved no bytes";
+  EXPECT_GT(r.sync_bytes_total, 0u) << "interest sync moved no bytes";
   EXPECT_GT(r.effect_contributions, 0u) << "behavior script emitted nothing";
   EXPECT_GT(r.final_entities, 0u);
   EXPECT_GE(r.peak_entities, r.final_entities);

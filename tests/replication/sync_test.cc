@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "common/rng.h"
-#include "planner/planner.h"
 #include "replication/divergence.h"
 #include "views/maintainer.h"
 
@@ -155,33 +156,56 @@ TEST_F(SyncTest, EventualSkipsRoundsAndDiverges) {
   EXPECT_DOUBLE_EQ(after.position_rmse, 0.0);
 }
 
-// kInterestView must replicate exactly what kInterest replicates — the
-// LiveView-backed interest set only changes *how* the set is computed
-// (incremental deltas + recenter instead of a per-row radius test). Each
-// tick an NPC dies and a new entity takes its slot inside the radius, so
-// replicas evict stale generations of reused slots.
-TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
+// The kInterest oracle, computed from the server alone: the replica's live
+// entities are exactly the avatar plus every server-alive entity whose
+// Position is within `radius` of the avatar's (d² <= r², so a NaN
+// coordinate is inside no radius), and each of them carries exactly the
+// server's Position and Health rows.
+void ExpectReplicaHoldsTheInterestSet(const World& server,
+                                      const World& replica, EntityId avatar,
+                                      float radius) {
+  const Vec3 center = server.Get<Position>(avatar)->value;
+  std::set<uint64_t> expected = {avatar.Raw()};
+  server.ForEachEntity([&](EntityId e) {
+    const Position* p = server.Get<Position>(e);
+    if (p != nullptr && p->value.DistanceSquaredTo(center) <= radius * radius) {
+      expected.insert(e.Raw());
+    }
+  });
+  std::set<uint64_t> held;
+  replica.ForEachEntity([&](EntityId e) {
+    held.insert(e.Raw());
+    ASSERT_TRUE(server.Alive(e)) << "replica holds a dead entity";
+    ASSERT_EQ(replica.Has<Position>(e), server.Has<Position>(e));
+    ASSERT_EQ(replica.Has<Health>(e), server.Has<Health>(e));
+    if (const Position* p = server.Get<Position>(e)) {
+      EXPECT_EQ(replica.Get<Position>(e)->value, p->value);
+    }
+    if (const Health* h = server.Get<Health>(e)) {
+      EXPECT_EQ(replica.Get<Health>(e)->hp, h->hp);
+      EXPECT_EQ(replica.Get<Health>(e)->max_hp, h->max_hp);
+    }
+  });
+  EXPECT_EQ(held, expected);
+}
+
+// kInterest against the oracle while everyone wanders, the avatar included,
+// and hp changes. Each tick an NPC dies, a random one inside the radius
+// when there is one, and a new entity takes its slot inside the radius, so
+// the replica evicts stale generations of reused slots.
+TEST_F(SyncTest, InterestMatchesTheOracleAsEveryoneWanders) {
   Rng rng(99);
-  SyncOptions scan_opts;
-  scan_opts.strategy = SyncStrategy::kInterest;
-  scan_opts.interest_radius = 25.0f;
-  SyncServer scan_sync(&server, scan_opts);
-  scan_sync.AddClient(ids[0]);
+  SyncOptions opts;
+  opts.strategy = SyncStrategy::kInterest;
+  opts.interest_radius = 25.0f;
+  SyncServer sync(&server, opts);
+  sync.AddClient(ids[0]);
 
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
-  SyncOptions view_opts = scan_opts;
-  view_opts.strategy = SyncStrategy::kInterestView;
-  view_opts.view_catalog = &catalog;
-  SyncServer view_sync(&server, view_opts);
-  view_sync.AddClient(ids[0]);
-
-  std::vector<SyncStats> scan_stats, view_stats;
+  std::vector<SyncStats> stats;
   size_t reused_inside = 0;
   for (int tick = 0; tick < 12; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
     server.AdvanceTick();
-    // Wander everyone, including the avatar (exercises Recenter), so
-    // entities churn in and out of the interest bubble.
     for (EntityId e : ids) {
       server.Patch<Position>(e, [&](Position& p) {
         p.value.x += rng.NextFloat(-12, 12);
@@ -193,8 +217,6 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
         });
       }
     }
-    // One NPC dies, a random one inside the radius when there is one, and
-    // a new entity takes its slot inside the radius.
     const Vec3 avatar = server.Get<Position>(ids[0])->value;
     std::vector<size_t> inside;
     for (size_t i = 1; i < ids.size(); ++i) {
@@ -211,61 +233,32 @@ TEST_F(SyncTest, InterestViewReplicatesExactlyLikeInterest) {
     server.Set(successor, Health{rng.NextFloat(0, 100), 100});
     ids[victim] = successor;
     reused_inside += inside.empty() ? 0 : 1;
-    ASSERT_TRUE(scan_sync.SyncAll(&scan_stats).ok());
-    catalog.Maintain();  // the tick loop's pre-sync round
-    ASSERT_TRUE(view_sync.SyncAll(&view_stats).ok());
-
-    // Same replicated rows, same values, same traffic, tick for tick.
-    EXPECT_EQ(scan_stats[0].rows_sent, view_stats[0].rows_sent)
-        << "tick " << tick;
-    EXPECT_EQ(scan_stats[0].removals_sent, view_stats[0].removals_sent)
-        << "tick " << tick;
-    const World& a = scan_sync.client(0).world();
-    const World& b = view_sync.client(0).world();
-    for (EntityId e : ids) {
-      ASSERT_EQ(a.Has<Position>(e), b.Has<Position>(e)) << "tick " << tick;
-      ASSERT_EQ(a.Has<Health>(e), b.Has<Health>(e)) << "tick " << tick;
-      if (a.Has<Position>(e)) {
-        EXPECT_EQ(a.Get<Position>(e)->value, b.Get<Position>(e)->value);
-        EXPECT_EQ(a.Get<Health>(e)->hp, b.Get<Health>(e)->hp);
-      }
-    }
-    // Neither replica keeps an entity the server has destroyed.
-    for (const World* replica : {&a, &b}) {
-      replica->ForEachEntity([&](EntityId e) {
-        EXPECT_TRUE(server.Alive(e)) << "tick " << tick;
-      });
-    }
-    auto report = MeasureDivergence(server, b);
-    EXPECT_EQ(report.missing_on_client,
-              MeasureDivergence(server, a).missing_on_client);
+    ASSERT_TRUE(sync.SyncAll(&stats).ok());
+    ExpectReplicaHoldsTheInterestSet(server, sync.client(0).world(), ids[0],
+                                     opts.interest_radius);
   }
   EXPECT_GT(reused_inside, 0u);  // slots were reused inside the radius
 }
 
-// The same equivalence with the avatar standing still: the interest view is
-// never recentered, so only the catalog's maintenance round before each
-// sync can move entities in and out of it as they cross the radius.
-TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
+// kInterest against the oracle around a still avatar at x=0: NPCs cross
+// the radius both ways, one NPC stands exactly on it (x=25, inside under
+// d² <= r²), and an NPC inside the radius gets a NaN z.
+TEST_F(SyncTest, InterestMatchesTheOracleAroundAStillAvatar) {
   Rng rng(7);
-  SyncOptions scan_opts;
-  scan_opts.strategy = SyncStrategy::kInterest;
-  scan_opts.interest_radius = 25.0f;
-  SyncServer scan_sync(&server, scan_opts);
-  scan_sync.AddClient(ids[0]);
+  SyncOptions opts;
+  opts.strategy = SyncStrategy::kInterest;
+  opts.interest_radius = 25.0f;
+  SyncServer sync(&server, opts);
+  sync.AddClient(ids[0]);
+  EntityId edge = server.Create();
+  server.Set(edge, Position{{25, 0, 0}});
+  server.Set(edge, Health{100, 100});
 
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
-  SyncOptions view_opts = scan_opts;
-  view_opts.strategy = SyncStrategy::kInterestView;
-  view_opts.view_catalog = &catalog;
-  SyncServer view_sync(&server, view_opts);
-  view_sync.AddClient(ids[0]);
-
-  std::vector<SyncStats> scan_stats, view_stats;
+  std::vector<SyncStats> stats;
   size_t crossings = 0;
   EntityId nan_npc;  // an NPC inside the radius whose z becomes NaN
   for (int tick = 0; tick < 16; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
     server.AdvanceTick();
     for (size_t i = 1; i < ids.size(); ++i) {
       server.Patch<Position>(ids[i], [&](Position& p) {
@@ -276,89 +269,42 @@ TEST_F(SyncTest, InterestViewTracksCrossingsAroundAStillAvatar) {
     }
     if (tick == 8) {
       for (size_t i = 1; i < ids.size() && !nan_npc.valid(); ++i) {
-        if (scan_sync.client(0).world().Has<Position>(ids[i])) {
-          nan_npc = ids[i];
-        }
+        if (sync.client(0).world().Has<Position>(ids[i])) nan_npc = ids[i];
       }
       ASSERT_TRUE(nan_npc.valid());
       server.Patch<Position>(nan_npc, [](Position& p) {
         p.value.z = std::numeric_limits<float>::quiet_NaN();
       });
     }
-    ASSERT_TRUE(scan_sync.SyncAll(&scan_stats).ok());
-    catalog.Maintain();
-    ASSERT_TRUE(view_sync.SyncAll(&view_stats).ok());
-
-    EXPECT_EQ(scan_stats[0].rows_sent, view_stats[0].rows_sent)
-        << "tick " << tick;
-    EXPECT_EQ(scan_stats[0].removals_sent, view_stats[0].removals_sent)
-        << "tick " << tick;
-    const World& a = scan_sync.client(0).world();
-    const World& b = view_sync.client(0).world();
-    for (EntityId e : ids) {
-      ASSERT_EQ(a.Has<Position>(e), b.Has<Position>(e)) << "tick " << tick;
-      if (a.Has<Position>(e)) {
-        EXPECT_EQ(a.Get<Position>(e)->value, b.Get<Position>(e)->value);
-      }
-    }
+    ASSERT_TRUE(sync.SyncAll(&stats).ok());
+    const World& replica = sync.client(0).world();
+    ExpectReplicaHoldsTheInterestSet(server, replica, ids[0],
+                                     opts.interest_radius);
+    EXPECT_TRUE(replica.Has<Position>(edge));
     if (nan_npc.valid()) {
-      // A NaN position is inside no radius: both replicas drop it.
-      EXPECT_FALSE(a.Has<Position>(nan_npc)) << "tick " << tick;
-      EXPECT_FALSE(b.Has<Position>(nan_npc)) << "tick " << tick;
+      EXPECT_FALSE(replica.Alive(nan_npc));  // a NaN is inside no radius
     }
   }
   EXPECT_GT(crossings, 0u);  // the radius was actually crossed
-}
-
-// A torn-down kInterestView server must release its catalog views so a
-// successor (shard restart, reconnect) can register cleanly.
-TEST_F(SyncTest, InterestViewServersShareACatalogAcrossRestarts) {
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
-  SyncOptions opts;
-  opts.strategy = SyncStrategy::kInterestView;
-  opts.interest_radius = 25.0f;
-  opts.view_catalog = &catalog;
-
-  std::vector<SyncStats> stats;
-  {
-    SyncServer first(&server, opts);
-    first.AddClient(ids[0]);
-    catalog.Maintain();
-    ASSERT_TRUE(first.SyncAll(&stats).ok());
-    EXPECT_EQ(catalog.view_count(), 1u);
-  }
-  EXPECT_EQ(catalog.view_count(), 0u);  // destructor unregistered
-
-  SyncServer second(&server, opts);
-  second.AddClient(ids[0]);  // same client index: name must not collide
-  catalog.Maintain();
-  ASSERT_TRUE(second.SyncAll(&stats).ok());
-  EXPECT_TRUE(second.client(0).world().Has<Position>(ids[1]));
 }
 
 // A component removed and re-added between two syncs is a net update:
 // every delta strategy sends the new row and must not then erase it with
 // the removal, at that sync or any later one.
 TEST_F(SyncTest, RemoveThenReAddBetweenSyncsKeepsTheRow) {
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
   std::vector<std::unique_ptr<SyncServer>> syncs;
-  for (SyncStrategy strategy :
-       {SyncStrategy::kDelta, SyncStrategy::kInterest,
-        SyncStrategy::kEventual, SyncStrategy::kInterestView}) {
+  for (SyncStrategy strategy : {SyncStrategy::kDelta, SyncStrategy::kInterest,
+                                SyncStrategy::kEventual}) {
     SyncOptions opts;
     opts.strategy = strategy;
     opts.interest_radius = 1000.0f;  // the whole world is in interest
     opts.period_ticks = 1;
-    opts.view_catalog = &catalog;
     syncs.push_back(std::make_unique<SyncServer>(&server, opts));
     syncs.back()->AddClient(ids[0]);
   }
   std::vector<SyncStats> stats;
   auto sync_all = [&] {
     server.AdvanceTick();
-    catalog.Maintain();
     for (auto& sync : syncs) ASSERT_TRUE(sync->SyncAll(&stats).ok());
   };
   sync_all();
@@ -378,17 +324,20 @@ TEST_F(SyncTest, RemoveThenReAddBetweenSyncsKeepsTheRow) {
   }
 }
 
-// Spawns and destroys under a view catalog and three clients, one of which
-// logs out and back in: every server change log is empty after each sync
-// (each reader has read it all), and a client that logs in is sent no
-// removal from before it joined.
+// Spawns and destroys under a view catalog that reads Position and three
+// clients, one of which logs out and back in: every server change log is
+// empty after each sync (each reader has read it all), and a client that
+// logs in is sent no removal from before it joined.
 TEST_F(SyncTest, ChangeLogsStayEmptyAcrossSyncsAndRelogins) {
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
+  views::ViewCatalog catalog(&server);
+  views::ViewDef near;  // a Position reader beside the sync's cursors
+  near.name = "near_origin";
+  near.has_near = true;
+  near.near = {"Position", "value", {0, 0, 0}, 60.0f};
+  ASSERT_TRUE(catalog.Register(near).ok());
   SyncOptions opts;
-  opts.strategy = SyncStrategy::kInterestView;
+  opts.strategy = SyncStrategy::kInterest;
   opts.interest_radius = 60.0f;
-  opts.view_catalog = &catalog;
   SyncServer sync(&server, opts);
   sync.AddClient(ids[0]);
   sync.AddClient(ids[10]);
@@ -431,31 +380,26 @@ TEST_F(SyncTest, ChangeLogsStayEmptyAcrossSyncsAndRelogins) {
   EXPECT_EQ(sync.connected_count(), 3u);
 }
 
-// A removal is sent only for a row the replica holds. Under the interest
-// strategies an entity destroyed outside interest was never replicated;
+// A removal is sent only for a row the replica holds. Under kInterest an
+// entity destroyed outside interest was never replicated;
 // under kDelta and kEventual a component added and removed between two
 // syncs never reached the replica. Neither sends a removal, and every
 // replica still matches the server where it holds rows.
 TEST_F(SyncTest, RemovalsOnlyForRowsTheReplicaHolds) {
-  planner::QueryPlanner planner(&server);
-  views::ViewCatalog catalog(&server, &planner);
   const std::vector<SyncStrategy> strategies = {
-      SyncStrategy::kDelta, SyncStrategy::kEventual, SyncStrategy::kInterest,
-      SyncStrategy::kInterestView};
+      SyncStrategy::kDelta, SyncStrategy::kEventual, SyncStrategy::kInterest};
   std::vector<std::unique_ptr<SyncServer>> syncs;
   for (SyncStrategy strategy : strategies) {
     SyncOptions opts;
     opts.strategy = strategy;
     opts.interest_radius = 25.0f;  // ids[0..2] around the avatar at x=0
     opts.period_ticks = 1;
-    opts.view_catalog = &catalog;
     syncs.push_back(std::make_unique<SyncServer>(&server, opts));
     syncs.back()->AddClient(ids[0]);
   }
   std::vector<std::vector<SyncStats>> stats(syncs.size());
   auto sync_all = [&] {
     server.AdvanceTick();
-    catalog.Maintain();
     for (size_t i = 0; i < syncs.size(); ++i) {
       ASSERT_TRUE(syncs[i]->SyncAll(&stats[i]).ok());
     }
@@ -469,8 +413,7 @@ TEST_F(SyncTest, RemovalsOnlyForRowsTheReplicaHolds) {
   sync_all();
 
   for (size_t i = 0; i < syncs.size(); ++i) {
-    const bool interest = strategies[i] == SyncStrategy::kInterest ||
-                          strategies[i] == SyncStrategy::kInterestView;
+    const bool interest = strategies[i] == SyncStrategy::kInterest;
     // kDelta / kEventual held ids[10]'s Position and Health rows.
     EXPECT_EQ(stats[i][0].removals_sent, interest ? 0u : 2u)
         << SyncStrategyName(strategies[i]);

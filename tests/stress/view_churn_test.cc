@@ -110,12 +110,6 @@ TEST_F(ViewChurnStressTest, BigWorldStormStaysExact) {
                              rng.NextFloat(0, 1000)}});
       pool[idx] = e;
     }
-    if (tick % 10 == 0) {
-      ASSERT_TRUE(near_view
-                      ->Recenter({rng.NextFloat(0, 1000), 0,
-                                  rng.NextFloat(0, 1000)})
-                      .ok());
-    }
     catalog.Maintain();
     check(tick);
     if (HasFatalFailure()) return;

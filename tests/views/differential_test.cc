@@ -297,15 +297,6 @@ TEST_P(DifferentialTest, StormStaysBitIdenticalToFreshExecution) {
   h.CheckAll("initial");
   for (int tick = 1; tick <= 120; ++tick) {
     h.StormTick(rng);
-    if (tick % 7 == 0) {
-      // Occasionally move the proximity view's bubble (planner-assisted
-      // repopulate path).
-      ASSERT_TRUE(h.catalog()
-                      .Find("nearby_sturdy")
-                      ->Recenter({rng.NextFloat(0, 100), 0,
-                                  rng.NextFloat(0, 100)})
-                      .ok());
-    }
     h.catalog().Maintain();
     h.CheckAll("tick " + std::to_string(tick));
     if (HasFatalFailure()) return;
@@ -327,11 +318,6 @@ TEST_P(DifferentialTest, TwoCatalogStormStaysBitIdenticalToFreshExecution) {
   h.planner().Analyze();
   for (int tick = 1; tick <= 120; ++tick) {
     h.StormTick(rng);
-    if (tick % 7 == 0) {
-      const Vec3 center{rng.NextFloat(0, 100), 0, rng.NextFloat(0, 100)};
-      ASSERT_TRUE(h.catalog().Find("nearby_sturdy")->Recenter(center).ok());
-      ASSERT_TRUE(second.Find("nearby_sturdy")->Recenter(center).ok());
-    }
     ViewCatalog& first_round = tick % 2 == 0 ? h.catalog() : second;
     ViewCatalog& second_round = tick % 2 == 0 ? second : h.catalog();
     first_round.Maintain();

@@ -86,28 +86,6 @@ TEST_F(LiveViewTest, RegisterValidatesNames) {
   EXPECT_EQ(catalog->Find("nope"), nullptr);
 }
 
-TEST_F(LiveViewTest, UnregisterRemovesTheViewAndFreesTheName) {
-  ViewDef def;
-  def.name = "temp";
-  def.where = {{"Health", "hp", CmpOp::kLt, 50.0}};
-  ASSERT_TRUE(catalog->Register(def).ok());
-  ASSERT_NE(catalog->Find("temp"), nullptr);
-
-  EXPECT_TRUE(catalog->Unregister("temp"));
-  EXPECT_EQ(catalog->Find("temp"), nullptr);
-  EXPECT_EQ(catalog->view_count(), 0u);
-  EXPECT_FALSE(catalog->Unregister("temp"));
-
-  // Deltas for the dead view are dropped, not routed into freed memory.
-  EntityId e = Spawn(10);
-  catalog->Maintain();
-
-  // The name is reusable; the new view sees current state.
-  auto again = catalog->Register(def);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE((*again)->Contains(e));
-}
-
 TEST_F(LiveViewTest, MembershipFollowsPredicateAcrossMaintenance) {
   EntityId weak = Spawn(10);
   EntityId strong = Spawn(90);
@@ -287,44 +265,6 @@ TEST_F(LiveViewTest, RadiusViewReprobesOnlyMovedEntities) {
   // whole Position table.
   EXPECT_EQ(view->stats().reevaluated - before, 2u);
   EXPECT_EQ(view->Members(), FreshCollect(def));
-}
-
-TEST_F(LiveViewTest, RecenterDiffsThroughThePlanner) {
-  for (int i = 0; i < 100; ++i) {
-    EntityId e = world.Create();
-    world.Set(e, Position{{float(i), 0, 0}});
-  }
-  ViewDef def;
-  def.name = "bubble";
-  def.has_near = true;
-  def.near = {"Position", "value", {0, 0, 0}, 5.0f};
-  auto view_r = catalog->Register(def);
-  ASSERT_TRUE(view_r.ok());
-  LiveView* view = *view_r;
-  ASSERT_EQ(view->size(), 6u);
-
-  size_t enters = 0, exits = 0;
-  view->OnEnter([&](EntityId) { ++enters; });
-  view->OnExit([&](EntityId) { ++exits; });
-
-  ASSERT_TRUE(view->Recenter({50, 0, 0}).ok());
-  EXPECT_EQ(view->size(), 11u);  // x = 45..55
-  EXPECT_EQ(enters, 11u);
-  EXPECT_EQ(exits, 6u);
-  def.near.center = {50, 0, 0};
-  EXPECT_EQ(view->Members(), FreshCollect(def));
-
-  // Unchanged center is a cheap no-op.
-  uint64_t repop = view->stats().repopulations;
-  ASSERT_TRUE(view->Recenter({50, 0, 0}).ok());
-  EXPECT_EQ(view->stats().repopulations, repop);
-
-  ViewDef no_near;
-  no_near.name = "no_near";
-  no_near.with = {"Position"};
-  auto plain = catalog->Register(no_near);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE((*plain)->Recenter({1, 2, 3}).IsInvalidArgument());
 }
 
 TEST_F(LiveViewTest, WatchViewFiresGslHandlersOnMembershipChanges) {

@@ -104,11 +104,10 @@ Status Driver::Init() {
   critical.agg_field = "hp";
   GAMEDB_RETURN_NOT_OK(catalog_.Register(std::move(critical)).status());
 
-  // Interest-view client replication.
+  // Interest-managed client replication.
   replication::SyncOptions sopts;
-  sopts.strategy = replication::SyncStrategy::kInterestView;
+  sopts.strategy = replication::SyncStrategy::kInterest;
   sopts.interest_radius = cfg_.interest_radius;
-  sopts.view_catalog = &catalog_;
   sopts.telemetry = MakeSink(cfg_);
   sync_ = std::make_unique<replication::SyncServer>(&world_, sopts);
 
@@ -180,8 +179,8 @@ Status Driver::Tick(uint64_t t,
                               return host_->RunTickOver("tick", "Combat");
                             }));
     GAMEDB_RETURN_NOT_OK(phase(kPhaseOnEvent, [&] { return GameEvents(t); }));
-    // The interest views absorb every move since the last sync here, so the
-    // sync only recenters them.
+    // A second round, kept in shardbench's phase order (the sync reads no
+    // view).
     phase(kPhaseMaintainPreSync, [&] { catalog_.Maintain(); });
     GAMEDB_RETURN_NOT_OK(
         phase(kPhaseSync, [&] { return sync_->SyncAll(&sync_scratch_); }));

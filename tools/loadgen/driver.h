@@ -2,7 +2,7 @@
 
 /// \file driver.h
 /// The scenario driver: owns one full-stack shard (World + QueryPlanner +
-/// ViewCatalog + ScriptHost + interest-view SyncServer + WAL/checkpoint
+/// ViewCatalog + ScriptHost + interest SyncServer + WAL/checkpoint
 /// PersistenceManager) and exposes the deterministic mutation vocabulary
 /// scenarios are written in (login/logout, spawn/despawn waves, movement,
 /// health churn, retargeting).
@@ -65,7 +65,7 @@ class Driver {
   // --- Scenario mutation vocabulary (sequential point only) ---------------
 
   /// Connects a new client: spawns an avatar and registers it with the
-  /// sync server (kInterestView: registers + populates its interest view).
+  /// sync server, whose next sync sends it every row in its interest.
   size_t Login();
   /// Disconnects an rng-chosen connected client and despawns its avatar.
   /// No-op when none are connected.

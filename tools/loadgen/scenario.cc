@@ -35,7 +35,7 @@ void RampClients(Driver& d, size_t target, size_t burst) {
 
 // --- login_storm ------------------------------------------------------------
 // Connection churn is the load: ramp everyone on in the first third (each
-// login registers + populates an interest view and cold-syncs a replica),
+// login cold-syncs a replica with every row in its interest),
 // hold steady, then a disconnect storm down to a quarter — while the world
 // itself stays comparatively calm.
 void StepLoginStorm(Driver& d, uint64_t t) {
@@ -55,8 +55,8 @@ void StepLoginStorm(Driver& d, uint64_t t) {
 
 // --- flash_crowd ------------------------------------------------------------
 // Everyone converges on one hotspot that relocates every quarter-run: the
-// worst case for spatial density stats, interest-view overlap (every
-// client's view covers the same crowd) and the pair-wise damage load.
+// worst case for spatial density stats, interest overlap (every client's
+// interest covers the same crowd) and the pair-wise damage load.
 void StepFlashCrowd(Driver& d, uint64_t t) {
   const ScenarioConfig& cfg = d.config();
   if (t == 1) RampClients(d, cfg.clients, cfg.clients);
@@ -95,9 +95,8 @@ void StepSpawnWave(Driver& d, uint64_t t) {
 
 // --- chase ------------------------------------------------------------------
 // The aggro/chase workload: every avatar sprints after a fleeing quarry, so
-// every client's interest-view center moves every tick — per-tick Recenter
-// repopulations at full client count, the ROADMAP's annulus-delta gap made
-// measurable.
+// every client's interest center moves every tick and rows enter and leave
+// its radius from every side at full client count.
 void StepChase(Driver& d, uint64_t t) {
   const ScenarioConfig& cfg = d.config();
   if (t == 1) RampClients(d, cfg.clients, cfg.clients);
@@ -152,7 +151,7 @@ void StepSteadyState(Driver& d, uint64_t t) {
 
 constexpr Scenario kScenarios[] = {
     {"login_storm",
-     "connection churn: interest-view registration/teardown storms",
+     "connection churn: login/logout storms with cold replica syncs",
      20.0, 60.0, 200.0, StepLoginStorm},
     // flash_crowd's targets are looser than the rest: with every client and
     // npc converging on one bubble, interest sets approach the whole world
@@ -164,7 +163,7 @@ constexpr Scenario kScenarios[] = {
      "mass spawn/despawn waves: allocator + change-capture churn",
      20.0, 60.0, 200.0, StepSpawnWave},
     {"chase",
-     "per-tick interest recenters: every avatar chases a fleeing quarry",
+     "moving interest: every avatar chases a fleeing quarry",
      25.0, 80.0, 250.0, StepChase},
     {"steady_state",
      "mixed background load: movement, churn, trickle spawns and logins",

@@ -3,18 +3,20 @@
 /// \file scenario.h
 /// The MMO scenario load harness: seed-deterministic hostile workloads
 /// driven against the *full* gamedb stack — World mutations, the ScriptHost
-/// parallel query phase, the cost-based planner, ViewCatalog interest-view
-/// client sync, and the WAL/checkpoint persistence tier — with per-tick
-/// latency histograms (p50/p99/p99.9), per-phase breakdowns and sync
-/// bytes/client, serialized as machine-readable BENCH_e15_<scenario>.json
-/// (metrics.h) so the perf trajectory is diffable PR-over-PR.
+/// parallel query phase, the cost-based planner, ViewCatalog live views,
+/// interest-managed client sync, and the WAL/checkpoint persistence tier —
+/// with per-tick latency histograms (p50/p99/p99.9), per-phase breakdowns
+/// and sync bytes/client, serialized as machine-readable
+/// BENCH_e15_<scenario>.json (metrics.h) so the perf trajectory is
+/// diffable PR-over-PR.
 ///
 /// Paper: the tutorial's core claim is that a declarative, database-backed
 /// engine can sustain massive multiplayer workloads; the Sowell et al.
 /// follow-up argues the payoff shows up under rich, *shifting* query
 /// workloads. The scenario library is exactly that shifting load: login
-/// storms, hotspot flash crowds, mass spawn waves, churny interest-view
-/// chases — not one subsystem in isolation (e01–e14), the whole tick loop.
+/// storms, hotspot flash crowds, mass spawn waves, chases that move every
+/// client's interest — not one subsystem in isolation (e01–e14), the whole
+/// tick loop.
 ///
 /// Determinism contract (tests/loadgen, tests/stress): for a fixed
 /// (scenario, seed, clients, npcs, ticks), the final world-state hash — and
@@ -40,7 +42,7 @@ namespace gamedb::loadgen {
 /// configuration; tests run reduced scale, the stress tier larger.
 struct ScenarioConfig {
   std::string scenario = "steady_state";
-  /// Simulated clients (each: an avatar entity + an interest-view synced
+  /// Simulated clients (each: an avatar entity + an interest-synced
   /// replica). Scenario phases may connect/disconnect a subset.
   size_t clients = 32;
   /// Initial NPC population (spawn waves may grow it).
