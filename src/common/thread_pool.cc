@@ -1,28 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace gamedb {
-
-namespace {
-
-/// Number of pool tasks this thread is currently inside, per pool. Lets
-/// Wait() called from within a task exclude its own call stack from the
-/// drain condition instead of deadlocking on itself. Keyed by pool address;
-/// entries are tiny, never removed, and always zero while the thread is not
-/// executing that pool's tasks, so address reuse is harmless.
-thread_local std::vector<std::pair<const void*, size_t>> tls_executing;
-
-size_t& ExecutingDepth(const void* pool) {
-  for (auto& [p, n] : tls_executing) {
-    if (p == pool) return n;
-  }
-  tls_executing.emplace_back(pool, size_t{0});
-  return tls_executing.back().second;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   GAMEDB_CHECK(num_threads >= 1);
@@ -41,97 +21,41 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  Submit(nullptr, std::move(task));
-}
-
-void ThreadPool::Submit(TaskGroup* group, std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GAMEDB_CHECK(!shutdown_);
-    queue_.push_back(Task{std::move(task), group});
-    ++in_flight_;
-    if (group != nullptr) ++group->pending_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::RunOneQueued(std::unique_lock<std::mutex>& lock) {
-  Task task = std::move(queue_.front());
-  queue_.pop_front();
-  RunTask(std::move(task), lock);
-}
-
 void ThreadPool::RunTask(Task task, std::unique_lock<std::mutex>& lock) {
   lock.unlock();
-  ++ExecutingDepth(this);
-  task.fn();
-  --ExecutingDepth(this);
+  (*task.batch->fn)(task.index, task.begin, task.end);
   lock.lock();
-  --in_flight_;
-  // Waiters have depth-relative predicates (a waiter inside k nested tasks
-  // drains at in_flight_ == k), so every completion may satisfy one.
-  done_cv_.notify_all();
-  if (task.group != nullptr) {
-    --task.group->pending_;
-    if (task.group->pending_ == 0) task.group->done_cv_.notify_all();
-  }
+  if (--task.batch->pending == 0) task.batch->done_cv.notify_all();
 }
 
-void ThreadPool::Wait() {
-  // An external caller (self_depth 0) waits for a full drain. A waiter
-  // INSIDE a pool task additionally excludes (a) tasks on its own call
-  // stack — they cannot finish while it blocks here — and (b) tasks on the
-  // stacks of other threads currently blocked in Wait() (waiting_depth_):
-  // two tasks Wait()ing concurrently would otherwise each count the other
-  // as unfinished work and deadlock both forever. Excluded waiters resume,
-  // finish their tasks, and external waiters then see the true drain.
-  const size_t self_depth = ExecutingDepth(this);
+void ThreadPool::ForkJoin(
+    size_t n, size_t chunk,
+    const std::function<void(size_t, size_t, size_t)>& fn) {
+  Batch batch;
+  batch.fn = &fn;
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    const size_t excluded =
-        self_depth > 0 ? waiting_depth_ + self_depth : 0;
-    if (in_flight_ <= excluded) break;
-    if (!queue_.empty()) {
-      RunOneQueued(lock);
+  GAMEDB_CHECK(!shutdown_);
+  size_t index = 0;
+  for (size_t begin = 0; begin < n; begin += chunk, ++index) {
+    queue_.push_back(Task{&batch, index, begin, std::min(begin + chunk, n)});
+    ++batch.pending;
+  }
+  work_cv_.notify_all();
+  while (batch.pending > 0) {
+    // Help only with THIS batch's queued chunks. Running arbitrary queued
+    // work here could trap the caller inside an unrelated long (or
+    // blocked) chunk of another batch.
+    auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Task& t) {
+      return t.batch == &batch;
+    });
+    if (it == queue_.end()) {
+      // The rest are running on other threads; the last one notifies.
+      batch.done_cv.wait(lock);
       continue;
     }
-    // Register our stack only while actually blocked (not while helping,
-    // and not counted twice by a nested Wait from a helped task).
-    waiting_depth_ += self_depth;
-    // Our blocking may complete another in-task waiter's drain condition.
-    if (self_depth > 0) done_cv_.notify_all();
-    done_cv_.wait(lock);
-    waiting_depth_ -= self_depth;
-  }
-}
-
-void ThreadPool::Wait(TaskGroup& group) {
-  const size_t self_depth = ExecutingDepth(this);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (group.pending_ > 0) {
-    // Help only with THIS group's queued tasks. Running arbitrary queued
-    // work here could trap the waiter inside an unrelated long (or blocked)
-    // task from another batch — the exact cross-batch coupling per-group
-    // tracking exists to remove.
-    auto it = std::find_if(
-        queue_.begin(), queue_.end(),
-        [&group](const Task& t) { return t.group == &group; });
-    if (it != queue_.end()) {
-      Task task = std::move(*it);
-      queue_.erase(it);
-      RunTask(std::move(task), lock);
-    } else {
-      // All of the group's remaining tasks are executing on other threads;
-      // the last completion notifies the group's cv. While blocked, an
-      // in-task waiter's own stacked tasks count into waiting_depth_, so a
-      // group task calling the global Wait() excludes them instead of
-      // deadlocking against us (see Wait()).
-      waiting_depth_ += self_depth;
-      if (self_depth > 0) done_cv_.notify_all();
-      group.done_cv_.wait(lock);
-      waiting_depth_ -= self_depth;
-    }
+    Task task = *it;
+    queue_.erase(it);
+    RunTask(task, lock);
   }
 }
 
@@ -143,43 +67,29 @@ void ThreadPool::ParallelFor(size_t n,
     fn(0, n);
     return;
   }
-  size_t chunk = (n + workers - 1) / workers;
-  TaskGroup group;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    size_t end = std::min(begin + chunk, n);
-    Submit(&group, [fn, begin, end] { fn(begin, end); });
-  }
-  Wait(group);
+  ForkJoin(n, (n + workers - 1) / workers,
+           [&fn](size_t, size_t begin, size_t end) { fn(begin, end); });
 }
 
 void ThreadPool::ParallelForChunks(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
   if (n == 0) return;
   size_t workers = threads_.size();
-  size_t chunk = (n + workers - 1) / workers;
   if (workers == 1) {
     fn(0, 0, n);
     return;
   }
-  TaskGroup group;
-  size_t chunk_index = 0;
-  for (size_t begin = 0; begin < n; begin += chunk, ++chunk_index) {
-    size_t end = std::min(begin + chunk, n);
-    size_t idx = chunk_index;
-    Submit(&group, [fn, idx, begin, end] { fn(idx, begin, end); });
-  }
-  Wait(group);
+  ForkJoin(n, (n + workers - 1) / workers, fn);
 }
 
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
-    }
-    RunOneQueued(lock);
+    if (queue_.empty()) return;  // shutdown with nothing left to run
+    Task task = queue_.front();
+    queue_.pop_front();
+    RunTask(task, lock);
   }
 }
 

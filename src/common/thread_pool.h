@@ -18,54 +18,20 @@
 
 namespace gamedb {
 
-/// A simple FIFO thread pool. Tasks must not throw.
+/// A fork-join pool: each ParallelFor call queues its chunks as one batch
+/// and returns when that batch is done. Chunks must not throw.
 ///
-/// Completion is tracked per *batch* through TaskGroup, so overlapping
-/// ParallelFor calls issued from different threads wait only on their own
-/// tasks, and a task may itself submit nested work and wait for it: every
-/// Wait variant "helps" by running queued tasks from the calling thread
-/// instead of blocking while work it may depend on sits in the queue.
+/// Completion is tracked per batch, so overlapping ParallelFor calls issued
+/// from different threads wait only on their own chunks, and a chunk may
+/// itself call ParallelFor: the waiting thread "helps" by running its own
+/// batch's queued chunks instead of blocking while they sit in the queue.
 class ThreadPool {
  public:
-  /// Completion tracker for one batch of tasks. A group must outlive every
-  /// task submitted through it (stack-allocate it around Submit + Wait).
-  class TaskGroup {
-   public:
-    TaskGroup() = default;
-    GAMEDB_DISALLOW_COPY(TaskGroup);
-
-   private:
-    friend class ThreadPool;
-    size_t pending_ = 0;  // guarded by the owning pool's mu_
-    std::condition_variable done_cv_;
-  };
-
   /// Starts `num_threads` workers (>= 1).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   GAMEDB_DISALLOW_COPY(ThreadPool);
-
-  /// Enqueues a task for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task whose completion is tracked by `group` (as well as by
-  /// the pool-wide counter Wait() observes).
-  void Submit(TaskGroup* group, std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing. Runs queued
-  /// tasks on the calling thread while waiting, so calling from inside a
-  /// pool task is safe; for such in-task callers the caller's own stacked
-  /// tasks — and those of other tasks simultaneously blocked in Wait() —
-  /// are excluded from the drain condition (they cannot finish first by
-  /// definition; mutually-waiting tasks release each other instead of
-  /// deadlocking). External callers always observe the full drain.
-  void Wait();
-
-  /// Blocks until every task submitted through `group` has finished. Unlike
-  /// Wait(), unrelated in-flight batches do not delay the return. Safe to
-  /// call from inside a pool task (the worker helps instead of deadlocking).
-  void Wait(TaskGroup& group);
 
   /// Partitions [0, n) into roughly equal chunks and runs
   /// `fn(begin, end)` for each chunk on the pool, blocking until done.
@@ -83,30 +49,33 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    TaskGroup* group;  // nullptr for untracked Submit
+  /// One ForkJoin call: its chunk function and the chunks still to finish.
+  /// Lives on the caller's stack until its last chunk is done.
+  struct Batch {
+    const std::function<void(size_t, size_t, size_t)>* fn = nullptr;
+    size_t pending = 0;  // guarded by mu_
+    std::condition_variable done_cv;
   };
+  /// One chunk: (*batch->fn)(index, begin, end).
+  struct Task {
+    Batch* batch;
+    size_t index, begin, end;
+  };
+
+  /// Queues `fn(index, begin, end)` for each `chunk`-sized piece of [0, n)
+  /// as one batch and returns when every piece has run.
+  void ForkJoin(size_t n, size_t chunk,
+                const std::function<void(size_t, size_t, size_t)>& fn);
 
   void WorkerLoop();
 
-  /// Pops the front task and runs it with `lock` released, then performs
-  /// completion bookkeeping. Precondition: lock held, queue non-empty.
-  void RunOneQueued(std::unique_lock<std::mutex>& lock);
-
-  /// Runs an already-dequeued task with `lock` released and performs
-  /// completion bookkeeping. Precondition: lock held.
+  /// Runs a dequeued task with `lock` released, then counts it done.
+  /// Precondition: lock held.
   void RunTask(Task task, std::unique_lock<std::mutex>& lock);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
   std::deque<Task> queue_;
-  size_t in_flight_ = 0;  // queued + executing, across all groups
-  // Summed executing-depth of threads currently blocked inside Wait() or
-  // Wait(TaskGroup&); their stacked tasks cannot finish first and are
-  // excluded from in-task global waiters' drain condition.
-  size_t waiting_depth_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };

@@ -3,9 +3,9 @@
 /// \file sparse_set.h
 /// Sparse-set component tables: the physical storage layer of the game state
 /// database. Dense, cache-friendly iteration (the "EnTT-style" layout) with
-/// O(1) add/remove/lookup, per-row versions for delta extraction, and a
-/// change log read through per-consumer cursors (core/change_log.h) — the
-/// one way views, replication and maintained aggregates learn of a write.
+/// O(1) add/remove/lookup, and a change log read through per-consumer
+/// cursors (core/change_log.h) — the only record of which rows changed, and
+/// the one way views, replication and maintained aggregates learn of a write.
 
 #include <cstdint>
 #include <functional>
@@ -48,11 +48,9 @@ class ComponentStore {
   virtual void* EmplaceDefault(EntityId e) = 0;
   /// Removes all rows.
   virtual void Clear() = 0;
-  /// Monotonic version; bumped on every add/update/remove.
+  /// Monotonic table version; bumped on every add/update/remove.
   virtual uint64_t last_version() const = 0;
-  /// Version of the row at dense position `i`.
-  virtual uint64_t VersionAt(size_t i) const = 0;
-  /// Marks `e` updated (bumps its row version, appends a change record):
+  /// Marks `e` updated (bumps the table version, appends a change record):
   /// publishes earlier untracked writes to every change-log consumer.
   virtual void Touch(EntityId e) = 0;
   /// Type-erased in-place mutation: runs `mutate` on the component storage
@@ -89,7 +87,7 @@ class SparseSet final : public ComponentStore {
     uint32_t pos = SparsePos(e);
     if (pos != kNpos && dense_entities_[pos] == e) {
       dense_values_[pos] = std::move(value);
-      row_versions_[pos] = ++version_;
+      ++version_;
       changes().Append(ChangeKind::kUpdate, e);
       return dense_values_[pos];
     }
@@ -97,13 +95,13 @@ class SparseSet final : public ComponentStore {
     sparse_[e.index] = static_cast<uint32_t>(dense_entities_.size());
     dense_entities_.push_back(e);
     dense_values_.push_back(std::move(value));
-    row_versions_.push_back(++version_);
+    ++version_;
     changes().Append(ChangeKind::kAdd, e);
     return dense_values_.back();
   }
 
-  /// Returns the component for `e`, or nullptr. Does not bump versions; use
-  /// Patch for writes that must be observed.
+  /// Returns the component for `e`, or nullptr. Read-only: use Patch for
+  /// writes that must be observed.
   const T* Get(EntityId e) const {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return nullptr;
@@ -111,13 +109,13 @@ class SparseSet final : public ComponentStore {
   }
 
   /// Tracked in-place mutation: the callback edits the component, then the
-  /// row version is bumped and a change record appended.
+  /// table version is bumped and a change record appended.
   template <typename Fn>
   bool Patch(EntityId e, Fn&& fn) {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return false;
     fn(dense_values_[pos]);
-    row_versions_[pos] = ++version_;
+    ++version_;
     changes().Append(ChangeKind::kUpdate, e);
     return true;
   }
@@ -143,12 +141,10 @@ class SparseSet final : public ComponentStore {
     if (pos != last) {
       dense_entities_[pos] = dense_entities_[last];
       dense_values_[pos] = std::move(dense_values_[last]);
-      row_versions_[pos] = row_versions_[last];
       sparse_[dense_entities_[pos].index] = pos;
     }
     dense_entities_.pop_back();
     dense_values_.pop_back();
-    row_versions_.pop_back();
     sparse_[e.index] = kNpos;
     ++version_;
     changes().Append(ChangeKind::kRemove, e);
@@ -181,12 +177,11 @@ class SparseSet final : public ComponentStore {
   }
 
   uint64_t last_version() const override { return version_; }
-  uint64_t VersionAt(size_t i) const override { return row_versions_[i]; }
 
   void Touch(EntityId e) override {
     uint32_t pos = SparsePos(e);
     if (pos == kNpos || !(dense_entities_[pos] == e)) return;
-    row_versions_[pos] = ++version_;
+    ++version_;
     changes().Append(ChangeKind::kUpdate, e);
   }
 
@@ -229,7 +224,6 @@ class SparseSet final : public ComponentStore {
   std::vector<uint32_t> sparse_;
   std::vector<EntityId> dense_entities_;
   std::vector<T> dense_values_;
-  std::vector<uint64_t> row_versions_;
   uint64_t version_ = 0;
 };
 

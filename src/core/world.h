@@ -91,7 +91,7 @@ class World {
     return t ? t->Get(e) : nullptr;
   }
 
-  /// Tracked in-place mutation: bumps the row version, appends a change
+  /// Tracked in-place mutation: bumps the table version, appends a change
   /// record.
   template <typename T, typename Fn>
   bool Patch(EntityId e, Fn&& fn) {

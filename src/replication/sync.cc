@@ -46,8 +46,8 @@ void SyncServer::RemoveClient(size_t i) {
   if (!client->connected_) return;
   client->connected_ = false;
   --connected_count_;
-  for (const auto& [id, table] : client->tables_) {
-    server_->StoreById(id)->changes().Close(table.cursor);
+  for (const auto& [id, cursor] : client->tables_) {
+    server_->StoreById(id)->changes().Close(cursor);
   }
   client->tables_.clear();
 }
@@ -123,26 +123,37 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
   Status apply_status = Status::OK();
   server_->ForEachStore([&](const TypeInfo& info, ComponentStore& store) {
     if (!apply_status.ok()) return;
-    // The cursor opens the first time this client meets the table: no
-    // removal from before then ever reached its replica.
-    auto [sync_it, first] = client->tables_.try_emplace(info.id());
-    ClientReplica::TableSync& table = sync_it->second;
-    if (first) table.cursor = store.changes().Open();
-    const uint64_t acked = table.acked;
-
     ComponentStore* client_store = replica.StoreById(info.id());
     GAMEDB_CHECK(client_store != nullptr);
 
-    // Changed rows, and under interest every row the replica lacks (the
-    // entity just entered interest). Ask the replica's table, not whether
-    // the entity is alive there: the entity's first table creates it.
+    // What the log names since this client's last sync: the rows written
+    // (marked by dense position) and the ids removed. The cursor opens the
+    // first time this client meets the table, when the replica lacks every
+    // row and no earlier removal ever reached it.
+    auto [cursor, first] = client->tables_.try_emplace(info.id());
+    if (first) cursor->second = store.changes().Open();
+    written_.assign(store.Size(), false);
+    removed_.clear();
+    store.changes().ForEachRecord(
+        cursor->second, [&](EntityId e, ChangeKind kind) {
+          if (kind == ChangeKind::kRemove) {
+            removed_.push_back(e);
+          } else if (size_t i = store.DenseIndexOf(e);
+                     i != ComponentStore::kNoDenseIndex) {
+            written_[i] = true;
+          }
+        });
+
+    // Each in-interest row that was written or that the replica's table
+    // lacks (the entity is new to the client or just entered interest).
+    // Ask the replica's table, not whether the entity is alive there: the
+    // entity's first table creates it. Interest is tested first: under a
+    // small radius most rows are outside it and missing from the replica,
+    // so asking the replica first would cost each of them a second lookup.
     for (size_t i = 0; i < store.Size(); ++i) {
       EntityId e = store.EntityAt(i);
       if (!in_interest(e)) continue;
-      if (store.VersionAt(i) <= acked &&
-          (!interest_filtered || client_store->Contains(e))) {
-        continue;
-      }
+      if (!written_[i] && client_store->Contains(e)) continue;
 
       // Encode: table name omitted (implied by loop); entity + payload.
       std::string payload;
@@ -177,21 +188,16 @@ Status SyncServer::SendDelta(ClientReplica* client, bool interest_filtered,
       }
     }
 
-    // Removals on the server side, for rows the replica holds. A row
-    // re-added since its removal was sent above with its new version;
-    // erasing it now would lose it.
-    store.changes().ForEachRecord(
-        table.cursor, [&](EntityId e, ChangeKind kind) {
-          if (kind != ChangeKind::kRemove || store.Contains(e) ||
-              !client_store->Contains(e)) {
-            return;
-          }
-          PutFixed64(&message, e.Raw());
-          ++stats->removals_sent;
-          client_store->Erase(e);
-        });
-
-    table.acked = store.last_version();
+    // Removals on the server side, for rows the replica holds. They run
+    // after the rows, so a reused slot's stale generation, which the row
+    // walk evicts, is not sent as removals too. A row re-added since its
+    // removal was sent above; erasing it now would lose it.
+    for (EntityId e : removed_) {
+      if (store.Contains(e) || !client_store->Contains(e)) continue;
+      PutFixed64(&message, e.Raw());
+      ++stats->removals_sent;
+      client_store->Erase(e);
+    }
   });
   GAMEDB_RETURN_NOT_OK(apply_status);
 

@@ -13,15 +13,16 @@
 /// aggro-management material in aggro.h / E11.
 ///
 /// Scope: component values replicate, and so does destruction, as row
-/// removals: SendDelta reads each table's change log through the client's
-/// own cursor and erases each row the server removed since the client
-/// first synced that table, if the replica holds it (a row re-added since
-/// is sent, not erased). The replica world is the one record of what a
-/// client holds: kInterest tests each row's Position against the radius
-/// at every sync, sends each in-interest row the replica lacks, and
-/// destroys each replica entity no longer in interest (a destroyed entity
-/// never is). Nothing about interest persists between syncs, so a client
-/// costs the same whether or not its avatar moves.
+/// removals. SendDelta reads each table's change log through the client's
+/// own cursor, the only record of what changed since its last sync: it
+/// sends each in-interest row the log names as written or the replica's
+/// table lacks, then erases each row the log names as removed, if the
+/// replica holds it (a row re-added since is sent, not erased). The
+/// replica world is the one record of what a client holds: kInterest tests
+/// each row's Position against the radius at every sync and destroys each
+/// replica entity no longer in interest (a destroyed entity never is).
+/// Nothing about interest persists between syncs, so a client costs the
+/// same whether or not its avatar moves.
 
 #include <memory>
 #include <string>
@@ -42,7 +43,7 @@ namespace gamedb::replication {
 enum class SyncStrategy : uint8_t {
   /// Whole-world snapshot every tick (strict, maximal bandwidth).
   kFullSnapshot,
-  /// Per-table version deltas every tick (strict, pay-for-what-changed).
+  /// Per-table deltas every tick (strict, pay-for-what-changed).
   kDelta,
   /// Deltas restricted to an area of interest around the client avatar:
   /// the avatar, and each live entity whose Position is within the radius
@@ -91,13 +92,9 @@ class ClientReplica {
   World world_;
   EntityId avatar_;
   /// Per component table (by type id), from the first SendDelta that met
-  /// it: the last acked version and the client's change-log cursor. Empty
-  /// until the client's first delta sync.
-  struct TableSync {
-    uint64_t acked = 0;
-    ChangeLog::Cursor cursor = 0;
-  };
-  std::unordered_map<uint32_t, TableSync> tables_;
+  /// it: the client's change-log cursor, the one record of what changed
+  /// since its last sync. Empty until the client's first delta sync.
+  std::unordered_map<uint32_t, ChangeLog::Cursor> tables_;
   /// False after RemoveClient: SyncAll skips the slot.
   bool connected_ = true;
 };
@@ -144,6 +141,11 @@ class SyncServer {
 
   World* server_;
   SyncOptions options_;
+  /// SendDelta's per-table scratch, reused across tables and clients: the
+  /// dense positions the log names as written, and the ids it names as
+  /// removed.
+  std::vector<bool> written_;
+  std::vector<EntityId> removed_;
   /// Cached registry instruments (nullptr without a metrics sink).
   telemetry::Counter* m_rounds_ = nullptr;
   telemetry::Counter* m_bytes_sent_ = nullptr;

@@ -26,18 +26,6 @@ const char* RestrictionName(Restriction r) {
   return "?";
 }
 
-const char* StrictnessName(Strictness s) {
-  switch (s) {
-    case Strictness::kOff:
-      return "off";
-    case Strictness::kWarn:
-      return "warn";
-    case Strictness::kStrict:
-      return "strict";
-  }
-  return "?";
-}
-
 const char* PhaseContextName(PhaseContext p) {
   switch (p) {
     case PhaseContext::kSequential:

@@ -67,16 +67,12 @@ const char* RestrictionName(Restriction r);
 
 /// How a host treats verifier findings at load time.
 enum class Strictness : uint8_t {
-  /// Verifier does not run (historical behavior: structural analysis only).
-  kOff,
-  /// Verifier runs; findings are logged and retrievable, the load proceeds
-  /// (existing packs keep loading — the default).
+  /// Findings are logged and retrievable, the load proceeds (existing
+  /// packs keep loading — the default).
   kWarn,
   /// Error-severity findings reject the load.
   kStrict,
 };
-
-const char* StrictnessName(Strictness s);
 
 /// Execution phase the verified script will run in — determines which
 /// effects are legal. Mirrors bindings.h MutationPolicy.

@@ -113,7 +113,7 @@ size_t DeferredOps::Apply(World* world, size_t* skipped) {
         case DeferredOp::Kind::kTouch: {
           // kDirectChecked already wrote the field in place during the
           // query phase; replaying the Touch here reproduces kDefer's
-          // version-bump / change-capture stream op-for-op.
+          // change-log stream op-for-op.
           ComponentStore* store = world->StoreById(op.type_id);
           if (world->Alive(op.entity) && store != nullptr &&
               store->Contains(op.entity)) {
@@ -396,9 +396,9 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
             if (e == gate->current[shard]) {
               // Proven-disjoint fast path: write the field in place now,
               // defer only a Touch so the apply phase reproduces kDefer's
-              // version/change-capture stream exactly. The raw Set (no
-              // Patch) avoids bumping the table's shared version counter
-              // or appending to its change log from a pool thread.
+              // change-log stream exactly. The raw Set (no Patch) avoids
+              // bumping the table's shared version counter or appending to
+              // its change log from a pool thread.
               void* c = store->Find(e);
               GAMEDB_RETURN_NOT_OK(f->Set(c, fv));
               deferred->Push(shard,

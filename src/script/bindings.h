@@ -91,7 +91,7 @@ enum class MutationPolicy : uint8_t {
   /// Analysis-gated fast path: behaves exactly like kDefer, except that
   /// set() on the shard's *current* entity — when the host's DirectWriteGate
   /// is enabled for this tick — writes the field in place during the query
-  /// phase and defers only a kTouch version bump. The host enables the gate
+  /// phase and defers only a kTouch change record. The host enables the gate
   /// only for packs the verifier's access-summary pass proved disjoint
   /// (script/analyzer.h DirectWriteEligible); every other mutation, and
   /// set() on any other entity, falls back to the kDefer buffers.

@@ -88,76 +88,72 @@ Status ScriptHost::Load(std::string_view source, std::string_view origin) {
   GAMEDB_ASSIGN_OR_RETURN(Script parsed, Parse(source, std::string(origin)));
   diagnostics_.clear();
   verify_report_ = VerifyReport{};
-  const bool verified = options_.strictness != Strictness::kOff;
-  if (verified) {
-    VerifierOptions vopts;
-    vopts.restriction = options_.interpreter.restriction;
-    vopts.phase = options_.mutations == MutationPolicy::kReject
-                      ? PhaseContext::kParallelReject
-                      : PhaseContext::kParallelDefer;
-    Interpreter* shard0 = shards_[0].get();
-    vopts.is_builtin = [shard0](const std::string& name) {
-      return shard0->IsBuiltin(name);
+  VerifierOptions vopts;
+  vopts.restriction = options_.interpreter.restriction;
+  vopts.phase = options_.mutations == MutationPolicy::kReject
+                    ? PhaseContext::kParallelReject
+                    : PhaseContext::kParallelDefer;
+  Interpreter* shard0 = shards_[0].get();
+  vopts.is_builtin = [shard0](const std::string& name) {
+    return shard0->IsBuiltin(name);
+  };
+  vopts.schema = ReflectionSchema();
+  if (options_.views != nullptr) {
+    views::ViewCatalog* catalog = options_.views;
+    vopts.schema.has_view = [catalog](const std::string& name) {
+      return catalog->Find(name) != nullptr;
     };
-    vopts.schema = ReflectionSchema();
-    if (options_.views != nullptr) {
-      views::ViewCatalog* catalog = options_.views;
-      vopts.schema.has_view = [catalog](const std::string& name) {
-        return catalog->Find(name) != nullptr;
-      };
-      vopts.schema.view_names = [catalog]() { return catalog->ViewNames(); };
+    vopts.schema.view_names = [catalog]() { return catalog->ViewNames(); };
+  }
+  vopts.schema.has_channel = [this](const std::string& name) {
+    if (effects_.HasChannel(name)) return true;
+    for (const auto& [channel, apply] : channels_) {
+      if (channel == name) return true;
     }
-    vopts.schema.has_channel = [this](const std::string& name) {
-      if (effects_.HasChannel(name)) return true;
-      for (const auto& [channel, apply] : channels_) {
-        if (channel == name) return true;
-      }
-      return false;
-    };
-    vopts.schema.channel_names = [this]() {
-      std::vector<std::string> names = effects_.ChannelNames();
-      for (const auto& [channel, apply] : channels_) {
-        bool known = false;
-        for (const std::string& n : names) known = known || n == channel;
-        if (!known) names.push_back(channel);
-      }
-      return names;
-    };
-    // An event is handled if a previously loaded pack registered a handler
-    // for it, or this script declares one itself.
-    const Script* raw = &parsed;
-    vopts.schema.has_event = [shard0, raw](const std::string& event) {
-      if (shard0->HandlerCount(event) > 0) return true;
-      for (const Stmt* h : raw->handlers) {
-        if (h->name == event) return true;
-      }
-      return false;
-    };
-    vopts.cost_budget = options_.script_cost_budget;
-    vopts.top_level_must_be_pure = true;
-    verify_report_ = Verify(parsed, vopts, &diagnostics_);
-    if (diagnostics_.has_errors()) {
-      if (options_.strictness == Strictness::kStrict) {
-        return Status::InvalidArgument("script verification failed:\n" +
-                                       diagnostics_.ToString());
-      }
-      // kWarn: structural errors still reject (they always have — the
-      // script would be unloadable or trivially broken); phase, bindings
-      // and cost findings are advisory.
-      for (const Diagnostic& d : diagnostics_.diagnostics()) {
-        if (d.severity == Severity::kError &&
-            d.pass == DiagPass::kStructure) {
-          return Status::ParseError(
-              d.loc.valid() ? StringFormat("line %d: %s", d.loc.line,
-                                           d.message.c_str())
-                            : d.message);
-        }
+    return false;
+  };
+  vopts.schema.channel_names = [this]() {
+    std::vector<std::string> names = effects_.ChannelNames();
+    for (const auto& [channel, apply] : channels_) {
+      bool known = false;
+      for (const std::string& n : names) known = known || n == channel;
+      if (!known) names.push_back(channel);
+    }
+    return names;
+  };
+  // An event is handled if a previously loaded pack registered a handler
+  // for it, or this script declares one itself.
+  const Script* raw = &parsed;
+  vopts.schema.has_event = [shard0, raw](const std::string& event) {
+    if (shard0->HandlerCount(event) > 0) return true;
+    for (const Stmt* h : raw->handlers) {
+      if (h->name == event) return true;
+    }
+    return false;
+  };
+  vopts.cost_budget = options_.script_cost_budget;
+  vopts.top_level_must_be_pure = true;
+  verify_report_ = Verify(parsed, vopts, &diagnostics_);
+  if (diagnostics_.has_errors()) {
+    if (options_.strictness == Strictness::kStrict) {
+      return Status::InvalidArgument("script verification failed:\n" +
+                                     diagnostics_.ToString());
+    }
+    // kWarn: structural errors still reject (they always have — the
+    // script would be unloadable or trivially broken); phase, bindings
+    // and cost findings are advisory.
+    for (const Diagnostic& d : diagnostics_.diagnostics()) {
+      if (d.severity == Severity::kError && d.pass == DiagPass::kStructure) {
+        return Status::ParseError(
+            d.loc.valid() ? StringFormat("line %d: %s", d.loc.line,
+                                         d.message.c_str())
+                          : d.message);
       }
     }
-    if (!diagnostics_.empty()) {
-      for (const Diagnostic& d : diagnostics_.diagnostics()) {
-        GAMEDB_LOG(kWarn) << "script verifier: " << d.ToString();
-      }
+  }
+  if (!diagnostics_.empty()) {
+    for (const Diagnostic& d : diagnostics_.diagnostics()) {
+      GAMEDB_LOG(kWarn) << "script verifier: " << d.ToString();
     }
   }
   auto script = std::make_shared<const Script>(std::move(parsed));
@@ -168,13 +164,10 @@ Status ScriptHost::Load(std::string_view source, std::string_view origin) {
     for (size_t i = 0; i < n; ++i) shards_[i]->UnloadLast();
   };
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // When the verifier ran, its structure pass subsumes shard 0's static
-    // analysis; otherwise shard 0 analyzes and shards 1+ (configured
-    // identically: same restriction, same builtins) reuse the verdict.
-    Status st = i == 0 && !verified ? shards_[i]->LoadShared(script)
-                                    : shards_[i]->LoadSharedPreanalyzed(script);
+    // The verifier's structure pass subsumes each shard's static analysis.
+    Status st = shards_[i]->LoadSharedPreanalyzed(script);
     if (!st.ok()) {
-      roll_back(i);  // shard i rolled itself back (LoadShared is
+      roll_back(i);  // shard i rolled itself back (loading is
                      // transactional); undo the shards before it
       deferred_.Clear();
       effects_.Clear();
@@ -197,25 +190,23 @@ Status ScriptHost::Load(std::string_view source, std::string_view origin) {
   // conflict graph: an entry that conflicts with ANY co-loaded entry stays
   // on the deferred path, because trigger handlers and other entries may
   // observe its tables mid-phase.
-  if (verified) {
-    for (size_t i = 0; i < verify_report_.entries.size(); ++i) {
-      const EntryFacts& entry = verify_report_.entries[i];
-      if (entry.is_handler) continue;  // handlers never drive RunTick
-      DirectEntry verdict;
-      verdict.eligible = DirectWriteEligible(entry, &verdict.reason);
-      if (verdict.eligible) {
-        for (const ConflictEdge& edge : verify_report_.conflicts) {
-          if (edge.a != i && edge.b != i) continue;
-          const EntryFacts& other =
-              verify_report_.entries[edge.a == i ? edge.b : edge.a];
-          verdict.eligible = false;
-          verdict.reason =
-              "conflicts with '" + other.name + "' (" + edge.reason + ")";
-          break;
-        }
+  for (size_t i = 0; i < verify_report_.entries.size(); ++i) {
+    const EntryFacts& entry = verify_report_.entries[i];
+    if (entry.is_handler) continue;  // handlers never drive RunTick
+    DirectEntry verdict;
+    verdict.eligible = DirectWriteEligible(entry, &verdict.reason);
+    if (verdict.eligible) {
+      for (const ConflictEdge& edge : verify_report_.conflicts) {
+        if (edge.a != i && edge.b != i) continue;
+        const EntryFacts& other =
+            verify_report_.entries[edge.a == i ? edge.b : edge.a];
+        verdict.eligible = false;
+        verdict.reason =
+            "conflicts with '" + other.name + "' (" + edge.reason + ")";
+        break;
       }
-      direct_eligible_[entry.name] = std::move(verdict);
     }
+    direct_eligible_[entry.name] = std::move(verdict);
   }
   return Status::OK();
 }
@@ -225,7 +216,7 @@ std::pair<bool, std::string> ScriptHost::DirectVerdict(
   auto it = direct_eligible_.find(fn);
   if (it == direct_eligible_.end()) {
     return {false,
-            "no access summary for '" + fn + "' (verifier off or unloaded)"};
+            "no access summary for '" + fn + "' (not loaded)"};
   }
   return {it->second.eligible, it->second.reason};
 }

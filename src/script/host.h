@@ -61,8 +61,7 @@ struct ScriptHostOptions {
   /// (DirectWriteEligible + no conflict-graph edge) apply set() writes in
   /// place during the query phase, skipping the DeferredOps value replay;
   /// every other tick silently falls back to kDefer behavior
-  /// (ScriptTickStats::fallback_reason says why). Requires strictness !=
-  /// kOff for the analysis to exist — otherwise every tick falls back.
+  /// (ScriptTickStats::fallback_reason says why).
   MutationPolicy mutations = MutationPolicy::kDefer;
   /// Optional cost-based query planner (planner/planner.h QueryPlanner):
   /// the query builtins of every shard plan through it. Its Execute must
@@ -81,7 +80,6 @@ struct ScriptHostOptions {
   /// checks phase safety (writes/spawn against `mutations`), schema
   /// bindings (components/fields/views/channels against the reflection
   /// registry, the view catalog and the wired channels) and static cost.
-  ///   kOff    — historical behavior: structural analysis only.
   ///   kWarn   — full verifier; phase/bindings/cost findings are logged and
   ///             kept readable via diagnostics(), the load proceeds
   ///             (structural errors still reject, as they always have).
@@ -183,8 +181,8 @@ class ScriptHost {
   /// Per-shard interpreter access (tests, per-shard globals).
   Interpreter& interpreter(size_t shard) { return *shards_[shard]; }
 
-  /// Verifier findings from the most recent Load (empty under
-  /// Strictness::kOff, and cleared at the start of every Load).
+  /// Verifier findings from the most recent Load (cleared at the start of
+  /// every Load).
   const DiagnosticSink& diagnostics() const { return diagnostics_; }
   /// Verifier report (effects, per-entry costs) from the most recent Load.
   const VerifyReport& verify_report() const { return verify_report_; }

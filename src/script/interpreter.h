@@ -83,8 +83,8 @@ class Interpreter {
   /// Like LoadShared but skips static analysis. Only for hosts loading one
   /// shared script into many interpreters whose restriction level and
   /// builtin set are identical to an interpreter that already analyzed it
-  /// (analysis depends on nothing else); the ScriptHost analyzes on shard 0
-  /// and reuses the verdict for shards 1..N-1.
+  /// (analysis depends on nothing else); the ScriptHost's verifier analyzes
+  /// once and every shard loads preanalyzed.
   Status LoadSharedPreanalyzed(std::shared_ptr<const Script> script);
 
   /// Drops the most recently loaded script's functions and handlers

@@ -64,10 +64,10 @@ struct GameTxn {
 /// outcomes are order-insensitive except kMove (last writer wins).
 void ApplyTxn(World* world, const GameTxn& t);
 
-/// Sequential post-batch publish pass: bumps row versions (Touch) on every
-/// component store of every entity a batch wrote, making the parallel
-/// executors' untracked writes visible to tracked consumers (delta
-/// replication, dirty scans, views, maintained aggregates).
+/// Sequential post-batch publish pass: Touches every component store of
+/// every entity a batch wrote, appending the change records that make the
+/// parallel executors' untracked writes visible to every change-log
+/// consumer (delta replication, views, maintained aggregates).
 void PublishBatchDirty(World* world, const std::vector<GameTxn>& batch);
 
 /// Executor metrics for E5/E6.

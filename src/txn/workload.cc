@@ -114,8 +114,8 @@ std::vector<GameTxn> MmoWorkload::NextBatch() {
 }
 
 void MmoWorkload::AdvancePositions(float dt) {
-  // Patch (not in-place View mutation) so the movement is visible to
-  // version-tracked consumers: delta replication, aggregates, dirty scans.
+  // Patch (not in-place View mutation) so the movement reaches the change
+  // log that delta replication, views and aggregates read.
   for (EntityId e : entities_) {
     const Velocity* v = world_.Get<Velocity>(e);
     if (v == nullptr) continue;

@@ -12,21 +12,6 @@
 namespace gamedb {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
@@ -85,54 +70,42 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, TasksCanSubmitMoreTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] {
-    counter.fetch_add(1);
-    pool.Submit([&] { counter.fetch_add(1); });
-  });
-  // Wait until both generations drain.
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-// Regression: Wait(group) must complete while an unrelated batch is still
-// blocked. The old single-global-counter Wait() hung here until the slow
-// batch's tasks were released.
+// Regression: a ParallelFor must return while an unrelated batch, waited
+// on by another thread, is still blocked. With one pool-wide completion
+// counter it hung here until the slow batch's chunks were released.
 TEST(ThreadPoolTest, GroupWaitIgnoresUnrelatedInFlightBatch) {
   ThreadPool pool(4);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
-
-  ThreadPool::TaskGroup slow;
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit(&slow, [&] {
+  std::atomic<int> slow_running{0};
+  std::thread slow([&] {
+    // 4 chunks of 2, each blocked on the gate.
+    pool.ParallelFor(8, [&](size_t, size_t) {
+      slow_running.fetch_add(1);
       std::unique_lock<std::mutex> lock(gate_mu);
       gate_cv.wait(lock, [&] { return gate_open; });
     });
-  }
+  });
+  while (slow_running.load() < 4) std::this_thread::yield();
 
   std::atomic<int> fast_done{0};
-  ThreadPool::TaskGroup fast;
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit(&fast, [&] { fast_done.fetch_add(1); });
-  }
-  pool.Wait(fast);  // must return even though `slow` is still blocked
-  EXPECT_EQ(fast_done.load(), 8);
+  pool.ParallelFor(256, [&](size_t b, size_t e) {
+    fast_done.fetch_add(static_cast<int>(e - b));
+  });  // must return even though `slow` is still blocked
+  EXPECT_EQ(fast_done.load(), 256);
 
   {
     std::lock_guard<std::mutex> lock(gate_mu);
     gate_open = true;
   }
   gate_cv.notify_all();
-  pool.Wait(slow);
+  slow.join();
 }
 
 // Regression: concurrent ParallelFor calls from different external threads
-// each wait on their own batch only; with the shared in_flight_ counter they
-// blocked on each other's tasks.
+// each wait on their own batch only; with one pool-wide completion counter
+// they blocked on each other's tasks.
 TEST(ThreadPoolTest, ConcurrentParallelForBatchesDoNotCrossBlock) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
@@ -150,99 +123,19 @@ TEST(ThreadPoolTest, ConcurrentParallelForBatchesDoNotCrossBlock) {
   EXPECT_EQ(total.load(), 4 * 50 * 256);
 }
 
-// Regression: a task that submits nested work and waits for it used to
-// deadlock the worker (Wait blocked inside the pool while the nested tasks
-// needed that same worker). Help-running waits make this safe even on a
-// single-thread pool.
-TEST(ThreadPoolTest, NestedSubmitAndWaitFromTask) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  ThreadPool::TaskGroup outer;
-  pool.Submit(&outer, [&] {
-    ThreadPool::TaskGroup inner;
-    for (int i = 0; i < 4; ++i) {
-      pool.Submit(&inner, [&] { counter.fetch_add(1); });
-    }
-    pool.Wait(inner);
-    counter.fetch_add(100);
-  });
-  pool.Wait(outer);
-  EXPECT_EQ(counter.load(), 104);
-}
-
-// Nested ParallelForChunks from inside a pool task (the scripted query
-// phase does this when a script builtin parallelizes internally).
+// A chunk may itself call ParallelForChunks: each waiting thread runs its
+// own batch's queued chunks, so nesting cannot deadlock the pool.
 TEST(ThreadPoolTest, NestedParallelForFromTask) {
   ThreadPool pool(2);
   std::atomic<int> sum{0};
-  ThreadPool::TaskGroup outer;
-  for (int t = 0; t < 4; ++t) {
-    pool.Submit(&outer, [&] {
-      pool.ParallelForChunks(100, [&](size_t, size_t b, size_t e) {
-        sum.fetch_add(static_cast<int>(e - b));
+  pool.ParallelForChunks(4, [&](size_t, size_t b, size_t e) {
+    for (size_t part = b; part < e; ++part) {
+      pool.ParallelForChunks(100, [&](size_t, size_t b2, size_t e2) {
+        sum.fetch_add(static_cast<int>(e2 - b2));
       });
-    });
-  }
-  pool.Wait(outer);
+    }
+  });
   EXPECT_EQ(sum.load(), 400);
-}
-
-// Two tasks blocked in global Wait() at the same time must both return:
-// each would otherwise count the other's (unfinishable) task as pending
-// work and deadlock the pair — and everyone waiting behind them.
-TEST(ThreadPoolTest, ConcurrentGlobalWaitsFromTwoTasksDoNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> executing{0};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      executing.fetch_add(1);
-      while (executing.load() < 2) std::this_thread::yield();
-      pool.Wait();  // both tasks reach this: the pool must treat both
-                    // blocked stacks as quiesced
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 2);
-}
-
-// A task blocked in Wait(group) and that group's task calling the global
-// Wait() must release each other: the group waiter's stacked task cannot
-// finish first, so the global waiter has to exclude it from the drain —
-// otherwise each waits on the other forever.
-TEST(ThreadPoolTest, GroupWaiterAndInTaskGlobalWaiterReleaseEachOther) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::atomic<bool> inner_running{false};
-  pool.Submit([&] {
-    ThreadPool::TaskGroup g;
-    pool.Submit(&g, [&] {
-      inner_running.store(true);
-      pool.Wait();  // global wait from inside a group-tracked task
-      done.fetch_add(1);
-    });
-    // Ensure the group task runs on the other worker (not helped inline).
-    while (!inner_running.load()) std::this_thread::yield();
-    pool.Wait(g);
-    done.fetch_add(10);
-  });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 11);
-}
-
-// Wait() (pool-wide) still covers tasks submitted without a group, and
-// helps instead of deadlocking when called from a task.
-TEST(ThreadPoolTest, GlobalWaitFromInsideTask) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  pool.Submit([&] {
-    pool.Submit([&] { counter.fetch_add(1); });
-    pool.Wait();  // helper runs the nested task on this same worker
-    counter.fetch_add(10);
-  });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
 }
 
 }  // namespace

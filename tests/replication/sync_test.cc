@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "replication/divergence.h"
 #include "views/maintainer.h"
@@ -36,6 +37,19 @@ class SyncTest : public ::testing::Test {
   World server;
   std::vector<EntityId> ids;
 };
+
+/// Bytes a delta sync puts on the wire for `e`'s T row: the 8-byte entity
+/// id and the length-prefixed component encoding.
+template <typename T>
+uint64_t RowBytes(const World& world, EntityId e) {
+  const TypeInfo* info = TypeRegistry::Global().Find(TypeRegistry::IdOf<T>());
+  std::string payload;
+  info->EncodeComponent(world.Get<T>(e), &payload);
+  std::string row;
+  PutFixed64(&row, e.Raw());
+  PutLengthPrefixed(&row, payload);
+  return row.size();
+}
 
 TEST_F(SyncTest, FullSnapshotReplicatesEverything) {
   SyncServer sync(&server, SyncOptions{SyncStrategy::kFullSnapshot});
@@ -147,11 +161,14 @@ TEST_F(SyncTest, EventualSkipsRoundsAndDiverges) {
   auto drift = MeasureDivergence(server, sync.client(0).world());
   EXPECT_GT(drift.position_rmse, 0.0);  // visibly stale
 
-  // Cross the period boundary: one sync collapses divergence to zero.
+  // Cross the period boundary: one sync collapses divergence to zero. The
+  // two rows written in all five rounds are each sent once.
   MutateSome();
   MutateSome();
   ASSERT_TRUE(sync.SyncAll(&stats).ok());
-  EXPECT_GT(stats[0].bytes_sent, 0u);
+  EXPECT_EQ(stats[0].rows_sent, 2u);
+  EXPECT_EQ(stats[0].bytes_sent, RowBytes<Position>(server, ids[0]) +
+                                     RowBytes<Health>(server, ids[1]));
   auto after = MeasureDivergence(server, sync.client(0).world());
   EXPECT_DOUBLE_EQ(after.position_rmse, 0.0);
 }
@@ -440,6 +457,112 @@ TEST_F(SyncTest, MultipleClientsTrackIndependently) {
   EXPECT_FALSE(sync.client(0).world().Has<Position>(ids[18]));
   EXPECT_TRUE(sync.client(1).world().Has<Position>(ids[18]));
   EXPECT_FALSE(sync.client(1).world().Has<Position>(ids[1]));
+}
+
+// The send rule, pinned for every delta strategy: a row is sent when the
+// change log names it as written since the client's last sync, or when
+// the replica lacks it, and once however many records name it.
+class SyncSendRuleTest : public SyncTest {
+ protected:
+  static constexpr SyncStrategy kStrategies[] = {
+      SyncStrategy::kDelta, SyncStrategy::kEventual, SyncStrategy::kInterest};
+
+  /// One single-client server per strategy, each synced once: kEventual
+  /// is due every tick, and kInterest's radius covers every entity.
+  void SetUp() override {
+    SyncTest::SetUp();
+    for (SyncStrategy strategy : kStrategies) {
+      SyncOptions opts;
+      opts.strategy = strategy;
+      opts.interest_radius = 1000.0f;
+      opts.period_ticks = 1;
+      syncs.push_back(std::make_unique<SyncServer>(&server, opts));
+      syncs.back()->AddClient(ids[0]);
+    }
+    stats.resize(syncs.size());
+    SyncEach();
+  }
+
+  /// Advances the server tick and syncs every strategy's server once.
+  void SyncEach() {
+    server.AdvanceTick();
+    for (size_t i = 0; i < syncs.size(); ++i) {
+      ASSERT_TRUE(syncs[i]->SyncAll(&stats[i]).ok());
+    }
+  }
+
+  const SyncStats& Sent(size_t i) const { return stats[i][0]; }
+  const World& Replica(size_t i) { return syncs[i]->client(0).world(); }
+  static const char* Name(size_t i) { return SyncStrategyName(kStrategies[i]); }
+
+  std::vector<std::unique_ptr<SyncServer>> syncs;
+  std::vector<std::vector<SyncStats>> stats;
+};
+
+TEST_F(SyncSendRuleTest, RowWrittenSeveralTimesIsSentOnce) {
+  server.Patch<Health>(ids[3], [](Health& h) { h.hp -= 1; });
+  server.Patch<Health>(ids[3], [](Health& h) { h.hp -= 1; });
+  server.Set(ids[3], Health{7, 100});
+  server.Patch<Position>(ids[4], [](Position& p) { p.value.y = 2; });
+  SyncEach();
+  const uint64_t bytes =
+      RowBytes<Health>(server, ids[3]) + RowBytes<Position>(server, ids[4]);
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).rows_sent, 2u) << Name(i);
+    EXPECT_EQ(Sent(i).removals_sent, 0u) << Name(i);
+    EXPECT_EQ(Sent(i).bytes_sent, bytes) << Name(i);
+    EXPECT_EQ(Replica(i).Get<Health>(ids[3])->hp, 7.0f) << Name(i);
+  }
+
+  SyncEach();  // nothing written since
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).bytes_sent, 0u) << Name(i);
+  }
+}
+
+TEST_F(SyncSendRuleTest, UntrackedWriteIsSentOnlyAfterTouch) {
+  server.GetMutableUntracked<Health>(ids[3])->hp = 9;
+  SyncEach();
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).bytes_sent, 0u) << Name(i);
+    EXPECT_EQ(Replica(i).Get<Health>(ids[3])->hp, 100.0f) << Name(i);
+  }
+
+  server.Table<Health>().Touch(ids[3]);
+  SyncEach();
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).rows_sent, 1u) << Name(i);
+    EXPECT_EQ(Sent(i).bytes_sent, RowBytes<Health>(server, ids[3]))
+        << Name(i);
+    EXPECT_EQ(Replica(i).Get<Health>(ids[3])->hp, 9.0f) << Name(i);
+  }
+
+  SyncEach();
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).bytes_sent, 0u) << Name(i);
+  }
+}
+
+// A slot reused between two syncs: the server destroys ids[5], which the
+// replica holds with Position and Health, and a new entity takes its slot
+// with a Position only. The row walk evicts the stale generation from the
+// replica, so the sync sends the new row and no removal. Reading a table's
+// removals before its rows would send ids[5]'s Position removal as well.
+TEST_F(SyncSendRuleTest, ReusedSlotSendsTheNewRowAndNoRemoval) {
+  server.Destroy(ids[5]);
+  EntityId reused = server.Create();
+  ASSERT_EQ(reused.index, ids[5].index);
+  server.Set(reused, Position{{55, 0, 0}});
+  SyncEach();
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    EXPECT_EQ(Sent(i).rows_sent, 1u) << Name(i);
+    EXPECT_EQ(Sent(i).removals_sent, 0u) << Name(i);
+    EXPECT_EQ(Sent(i).bytes_sent, RowBytes<Position>(server, reused))
+        << Name(i);
+    EXPECT_FALSE(Replica(i).Alive(ids[5])) << Name(i);
+    EXPECT_TRUE(Replica(i).Has<Position>(reused)) << Name(i);
+    EXPECT_FALSE(Replica(i).Has<Health>(reused)) << Name(i);
+  }
 }
 
 }  // namespace

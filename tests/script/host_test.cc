@@ -391,7 +391,7 @@ fn storm(e) {
 /// End state plus the observable write stream of one storm simulation.
 struct StormRun {
   std::string snapshot;  ///< serialized world at the end
-  std::string versions;  ///< per-tick (entity, row-version) stream
+  std::string changes;  ///< per-tick (entity, kind) change-log stream
   size_t direct_writes = 0;
   size_t redirected = 0;
   uint64_t direct_ticks = 0;
@@ -400,10 +400,12 @@ struct StormRun {
 
 class DirectCheckedTest : public ScriptHostTest {
  protected:
-  /// Runs the storm pack and records, after every tick, the dense
-  /// (entity, row version) sequence of both written tables. kDefer bumps
-  /// versions in PatchRaw replay; kDirectChecked must reproduce the exact
-  /// same stream through its Touch replay — not just the same end state.
+  /// Runs the storm pack and records, after every tick, the change-log
+  /// records (entity, kind) of both written tables, read through cursors
+  /// of the test's own. kDefer appends them in PatchRaw replay;
+  /// kDirectChecked must reproduce the exact same stream through its Touch
+  /// replay — not just the same end state — since that stream is what
+  /// every change-log consumer reads.
   static StormRun RunStorm(MutationPolicy policy, size_t threads,
                            size_t ticks, size_t n) {
     World world;
@@ -413,8 +415,12 @@ class DirectCheckedTest : public ScriptHostTest {
     opts.mutations = policy;
     ScriptHost host(&world, opts);
     EXPECT_TRUE(host.Load(kStormScript).ok());
+    ComponentStore* written[] = {&world.Table<Health>(),
+                                 &world.Table<Combat>()};
+    ChangeLog::Cursor cursors[2];
+    for (size_t k = 0; k < 2; ++k) cursors[k] = written[k]->changes().Open();
     StormRun run;
-    std::stringstream vs;
+    std::stringstream cs;
     for (size_t t = 0; t < ticks; ++t) {
       world.AdvanceTick();
       auto stats = host.RunTick("storm", ids);
@@ -422,18 +428,18 @@ class DirectCheckedTest : public ScriptHostTest {
       EXPECT_EQ(stats->script_errors, 0u) << stats->first_error.ToString();
       run.direct_writes += stats->direct_writes;
       run.redirected += stats->direct_redirected;
-      const ComponentStore* written[] = {&world.Table<Health>(),
-                                         &world.Table<Combat>()};
-      for (const ComponentStore* store : written) {
-        for (size_t i = 0; i < store->Size(); ++i) {
-          vs << store->EntityAt(i).index << ':' << store->VersionAt(i) << ' ';
-        }
-        vs << '|';
+      for (size_t k = 0; k < 2; ++k) {
+        written[k]->changes().ForEachRecord(
+            cursors[k], [&](EntityId e, ChangeKind kind) {
+              cs << e.Raw() << ':' << int(kind) << ' ';
+            });
+        cs << '|';
       }
     }
+    for (size_t k = 0; k < 2; ++k) written[k]->changes().Close(cursors[k]);
     run.direct_ticks = host.direct_ticks();
     run.fallback_ticks = host.fallback_ticks();
-    run.versions = vs.str();
+    run.changes = cs.str();
     EncodeWorldSnapshot(world, &run.snapshot);
     return run;
   }
@@ -441,7 +447,7 @@ class DirectCheckedTest : public ScriptHostTest {
 
 // The tentpole acceptance test: a 100-tick randomized storm under
 // kDirectChecked is bit-identical to kDefer at 1, 2 and 8 threads — same
-// serialized end state AND the same per-row version stream tick by tick —
+// serialized end state AND the same change-log stream tick by tick —
 // while actually taking the in-place path (direct_writes > 0, nothing
 // redirected, no fallback ticks).
 TEST_F(DirectCheckedTest, StormIsBitIdenticalToDeferAt1And2And8Threads) {
@@ -452,7 +458,7 @@ TEST_F(DirectCheckedTest, StormIsBitIdenticalToDeferAt1And2And8Threads) {
     StormRun direct =
         RunStorm(MutationPolicy::kDirectChecked, threads, 100, 96);
     EXPECT_EQ(direct.snapshot, defer.snapshot) << threads << " threads";
-    EXPECT_EQ(direct.versions, defer.versions) << threads << " threads";
+    EXPECT_EQ(direct.changes, defer.changes) << threads << " threads";
     EXPECT_GT(direct.direct_writes, 0u);
     EXPECT_EQ(direct.redirected, 0u) << "analysis verdict was wrong";
     EXPECT_EQ(direct.direct_ticks, 100u);
@@ -460,7 +466,7 @@ TEST_F(DirectCheckedTest, StormIsBitIdenticalToDeferAt1And2And8Threads) {
 
     StormRun control = RunStorm(MutationPolicy::kDefer, threads, 100, 96);
     EXPECT_EQ(control.snapshot, defer.snapshot) << threads << " threads";
-    EXPECT_EQ(control.versions, defer.versions) << threads << " threads";
+    EXPECT_EQ(control.changes, defer.changes) << threads << " threads";
   }
 }
 

@@ -399,13 +399,6 @@ TEST_F(VerifierTest, HostStrictRejectsWhatWarnDefersToRuntime) {
       << st.ToString();
   EXPECT_NE(st.message().find("bad.gsl:2:"), std::string::npos)
       << st.ToString();
-
-  // kOff retains the historical behavior: no verifier, no diagnostics.
-  ScriptHostOptions off_opts = warn_opts;
-  off_opts.strictness = Strictness::kOff;
-  ScriptHost off_host(&world_, off_opts);
-  ASSERT_TRUE(off_host.Load(src, "bad.gsl").ok());
-  EXPECT_TRUE(off_host.diagnostics().empty());
 }
 
 TEST_F(VerifierTest, HostStrictAcceptsCleanPackAndReportsFacts) {

@@ -96,7 +96,7 @@ TEST_F(ParallelStressTest, LargeScriptedWorldDeterminism) {
 }
 
 // Many external threads hammering one pool with overlapping batches, some
-// of whose tasks submit and wait on nested batches.
+// of whose chunks run nested batches.
 TEST(ThreadPoolStressTest, OverlappingAndNestedBatches) {
   ThreadPool pool(8);
   std::atomic<long> total{0};
@@ -105,16 +105,14 @@ TEST(ThreadPoolStressTest, OverlappingAndNestedBatches) {
     callers.emplace_back([&pool, &total, c] {
       for (int round = 0; round < 60; ++round) {
         if ((round + c) % 3 == 0) {
-          // Nested: every chunk fans out again from inside its task.
-          ThreadPool::TaskGroup outer;
-          for (int part = 0; part < 4; ++part) {
-            pool.Submit(&outer, [&pool, &total] {
-              pool.ParallelForChunks(512, [&](size_t, size_t b, size_t e) {
-                total.fetch_add(long(e - b));
+          // Nested: every chunk fans out again from inside the pool.
+          pool.ParallelForChunks(4, [&](size_t, size_t b, size_t e) {
+            for (size_t part = b; part < e; ++part) {
+              pool.ParallelForChunks(512, [&](size_t, size_t b2, size_t e2) {
+                total.fetch_add(long(e2 - b2));
               });
-            });
-          }
-          pool.Wait(outer);
+            }
+          });
         } else {
           pool.ParallelFor(2048, [&](size_t b, size_t e) {
             total.fetch_add(long(e - b));
@@ -124,7 +122,6 @@ TEST(ThreadPoolStressTest, OverlappingAndNestedBatches) {
     });
   }
   for (auto& t : callers) t.join();
-  pool.Wait();
   // Per caller: 20 nested rounds of 4*512 + 40 plain rounds of 2048.
   EXPECT_EQ(total.load(), 6L * (20 * 4 * 512 + 40 * 2048));
 }
